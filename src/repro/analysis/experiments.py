@@ -66,13 +66,9 @@ from repro.core.sharding import (
     suite_work_unit,
     variation_work_unit,
 )
+from repro.core.spec import DesignSpec, TrainedPoint, train_point
 from repro.core.store import ResultStore
-from repro.core.variation import (
-    VariationAnalysis,
-    canonical_training_knobs,
-    simulate_offset_variation,
-    variation_result_key,
-)
+from repro.core.variation import VariationAnalysis, simulate_offset_variation
 from repro.datasets.registry import canonical_name, dataset_names, load_dataset
 
 #: Smaller benchmarks used when a quick run is requested.
@@ -150,7 +146,6 @@ def _run_one_benchmark(
     jobs: int = 1,
     training_sigma: float = 0.0,
     robustness_weight: float = 1.0,
-    engine: str = "batch",
     ppa_backend=None,
 ) -> CoDesignResult:
     """Top-level (picklable) job: run the co-design flow on one benchmark."""
@@ -163,7 +158,6 @@ def _run_one_benchmark(
             executor=executor if executor.jobs > 1 else None,
             training_sigma=training_sigma,
             robustness_weight=robustness_weight,
-            engine=engine,
             ppa_backend=ppa_backend,
         )
         dataset = load_dataset(name, seed=seed)
@@ -185,7 +179,6 @@ def run_benchmark_suite(
     robustness_weight: float = 1.0,
     shard: ShardSpec | None = None,
     cache_only: bool = False,
-    engine: str = "batch",
     ppa_backend=None,
 ) -> list[CoDesignResult]:
     """Run the co-design flow over the benchmark suite (cached per dataset).
@@ -241,16 +234,11 @@ def run_benchmark_suite(
         missing datasets and keys) when any entry is absent.  The
         in-process memo is bypassed, so the store genuinely holds
         everything the call returns.
-    engine:
-        Inference engine scoring the exploration's test sets (``"batch"``
-        or ``"bitparallel"``; see :mod:`repro.core.bitkernel`).  Engines are
-        bit-identical, so -- like ``jobs`` -- this never participates in
-        cache keys and cached results are shared across engines.
     ppa_backend:
         Source of every design's digital area/power (default: the analytic
         cell-count model; anything
         :func:`~repro.circuits.ppa.resolve_ppa_backend` accepts).  Unlike
-        ``engine``, a non-analytic backend *changes results*, and its
+        ``jobs``, a non-analytic backend *changes results*, and its
         numbers are not derivable from the experiment configuration -- so
         such runs bypass the memo and the on-disk store entirely (nothing
         report-based is ever cached under a configuration key), and they
@@ -337,7 +325,7 @@ def run_benchmark_suite(
                     (
                         name, seed, include_approximate_baseline,
                         tuple(depths), tuple(taus), 1,
-                        training_sigma, robustness_weight, engine, backend,
+                        training_sigma, robustness_weight, backend,
                     )
                     for name in pending
                 ]
@@ -354,7 +342,6 @@ def run_benchmark_suite(
                         jobs=executor.jobs,
                         training_sigma=training_sigma,
                         robustness_weight=robustness_weight,
-                        engine=engine,
                         ppa_backend=backend,
                     )
                     for name in pending
@@ -374,53 +361,17 @@ def run_benchmark_suite(
 
 
 @lru_cache(maxsize=8)
-def _variation_classifier(
-    dataset: str,
-    seed: int,
-    depth: int,
-    tau: float,
-    resolution_bits: int = 4,
-    test_size: float = 0.3,
-    training_sigma: float = 0.0,
-    robustness_weight: float = 1.0,
-):
+def _variation_classifier(spec: DesignSpec) -> TrainedPoint:
     """Train-once memo behind the per-sigma variation sweep.
 
     A sigma sweep caches one :class:`VariationAnalysis` per sigma, but the
-    classifier under test depends only on the (dataset, seed, depth, tau,
-    training) configuration -- training it once per configuration keeps a
-    cold 5-sigma sweep from paying the same fit five times.  Training
-    mirrors :func:`_variation_unit_job` /
-    :meth:`~repro.core.exploration.DesignSpaceExplorer.evaluate_point`
-    exactly (same trainer arguments, same volts-normalized training sigma),
-    so the classifier under test is bit-identical to the one a sharded or
-    exploration run would have simulated.  Everything is seeded, so the
-    memo never changes results.  Callers pass *canonical* training knobs
-    (:func:`~repro.core.variation.canonical_training_knobs`), so inert
-    spellings alias one memo entry.
+    classifier under test depends only on the design point -- training it
+    once per :class:`~repro.core.spec.DesignSpec` keeps a cold 5-sigma
+    sweep from paying the same fit five times.  Everything is seeded, so
+    the memo never changes results, and canonical specs alias every
+    equivalent spelling of one point.
     """
-    from repro.core.adc_aware_training import ADCAwareTrainer
-    from repro.mltrees.evaluation import train_test_split
-    from repro.mltrees.quantize import quantize_dataset
-    from repro.pdk.egfet import default_technology
-
-    technology = default_technology()
-    data = load_dataset(dataset, seed=seed)
-    X_train, X_test, y_train, y_test = train_test_split(
-        data.X, data.y, test_size=test_size, seed=seed
-    )
-    trainer = ADCAwareTrainer(
-        max_depth=depth,
-        gini_threshold=tau,
-        resolution_bits=resolution_bits,
-        seed=seed,
-        training_sigma=training_sigma / technology.vdd,
-        robustness_weight=(robustness_weight if training_sigma > 0 else 0.0),
-    )
-    tree = trainer.fit(
-        quantize_dataset(X_train, resolution_bits), y_train, data.n_classes
-    )
-    return tree, X_test, y_test
+    return train_point(spec)
 
 
 def run_variation_analysis(
@@ -445,41 +396,33 @@ def run_variation_analysis(
     split of ``dataset`` and Monte-Carlo-simulates its test accuracy under
     Gaussian comparator offsets.  Per-seed summaries are cached in the
     content-addressed :class:`~repro.core.store.ResultStore` under the full
-    :func:`~repro.core.variation.variation_result_key` -- every knob the key
-    supports (``resolution_bits``, ``test_size``, ``training_sigma``,
-    ``robustness_weight``) participates, so this entry point addresses the
+    ``"offset_variation"`` key of the point's
+    :class:`~repro.core.spec.DesignSpec` -- every field (``resolution_bits``,
+    ``test_size``, ``training_sigma``, ``robustness_weight``) participates,
+    so this entry point addresses the
     exact entries that sharded suite runs, ``explore`` and the search
     warm-start write: nominal requests keep their historical keys, and
     offset-aware requests share cache warmth instead of silently training a
     nominal tree.  Trial batches fan out across ``jobs`` worker processes
     with bit-identical results.
     """
-    from repro.pdk.egfet import default_technology
-
     if use_cache and store is None:
         store = ResultStore(cache_dir) if cache_dir is not None else default_store()
-    training_sigma, robustness_weight = canonical_training_knobs(
-        training_sigma, robustness_weight
-    )
-    key = variation_result_key(
-        dataset, seed, sigma_v, n_trials, depth, tau, resolution_bits,
-        test_size=test_size,
+    spec = DesignSpec(
+        dataset, seed, depth, tau, resolution_bits, test_size=test_size,
         training_sigma=training_sigma, robustness_weight=robustness_weight,
     )
+    key = spec.key("offset_variation", sigma_v=float(sigma_v), n_trials=int(n_trials))
     if use_cache and store is not None:
         cached = store.get(key)
         if cached is not None:
             store.flush_stats()
             return cached
 
-    tree, X_test, y_test = _variation_classifier(
-        canonical_name(dataset), seed, depth, tau,
-        resolution_bits=resolution_bits, test_size=test_size,
-        training_sigma=training_sigma, robustness_weight=robustness_weight,
-    )
+    tree, _, X_test, y_test = _variation_classifier(spec)
     analysis = simulate_offset_variation(
         tree, X_test, y_test, sigma_v, n_trials=n_trials,
-        technology=default_technology(), seed=seed, jobs=jobs,
+        technology=spec.technology, seed=spec.seed, jobs=jobs,
     )
     if use_cache and store is not None:
         store.put(key, analysis)
@@ -538,7 +481,6 @@ def run_robust_exploration(
     training_sigma: float = 0.0,
     robustness_weight: float = 1.0,
     cache_only: bool = False,
-    engine: str = "batch",
     ppa_backend=None,
 ) -> RobustExploration:
     """Variation-aware design-space exploration of one benchmark.
@@ -574,7 +516,6 @@ def run_robust_exploration(
         training_sigma=training_sigma,
         robustness_weight=robustness_weight,
         cache_only=cache_only,
-        engine=engine,
         ppa_backend=ppa_backend,
     )
     if use_cache and store is None:
@@ -713,7 +654,6 @@ def run_robustness_surface(
     training_sigma: float = 0.0,
     robustness_weight: float = 1.0,
     cache_only: bool = False,
-    engine: str = "batch",
     ppa_backend=None,
 ) -> RobustnessSurface:
     """Map the (sigma x depth x tau) robustness surface of one benchmark.
@@ -740,9 +680,10 @@ def run_robustness_surface(
     sigma_values = normalize_sigmas(sigmas)
     if not sigma_values:
         raise ValueError("at least one sigma is required")
-    training_sigma, robustness_weight = canonical_training_knobs(
-        training_sigma, robustness_weight
+    knobs = DesignSpec(
+        name, seed, training_sigma=training_sigma, robustness_weight=robustness_weight
     )
+    training_sigma, robustness_weight = knobs.training_sigma, knobs.robustness_weight
     (result,) = run_benchmark_suite(
         datasets=(name,),
         seed=seed,
@@ -756,7 +697,6 @@ def run_robustness_surface(
         training_sigma=training_sigma,
         robustness_weight=robustness_weight,
         cache_only=cache_only,
-        engine=engine,
         # The surface itself is accuracy-only (variation summaries), so the
         # backend only influences the baseline suite entry resolved here.
         ppa_backend=ppa_backend,
@@ -786,23 +726,8 @@ def run_robustness_surface(
             [(unit.label, unit.store_key) for unit in pending]
         )
     if pending:
-        tasks = [
-            (
-                unit.dataset,
-                seed,
-                unit.params["sigma_v"],
-                unit.params["n_trials"],
-                unit.params["depth"],
-                unit.params["tau"],
-                unit.params["resolution_bits"],
-                unit.params["test_size"],
-                unit.params["training_sigma"],
-                unit.params["robustness_weight"],
-            )
-            for unit in pending
-        ]
         with get_executor(jobs) as executor:
-            computed = executor.map(_variation_unit_job, tasks)
+            computed = executor.map(_variation_unit_job, _variation_tasks(pending))
         for unit, analysis in zip(pending, computed):
             if use_cache and store is not None:
                 store.put(unit.store_key, analysis)
@@ -900,55 +825,30 @@ def run_search_study(
 # sharded execution (repro.cli suite / assemble)
 # ---------------------------------------------------------------------- #
 def _variation_unit_job(
-    dataset: str,
-    seed: int,
-    sigma_v: float,
-    n_trials: int,
-    depth: int,
-    tau: float,
-    resolution_bits: int,
-    test_size: float,
-    training_sigma: float,
-    robustness_weight: float,
+    spec: DesignSpec, sigma_v: float, n_trials: int
 ) -> VariationAnalysis:
     """Top-level (picklable) job: compute one variation work unit from scratch.
 
-    Self-contained on purpose: the (depth, tau) tree is retrained here
-    instead of being looked up from a suite result, so a variation unit can
-    run on a shard that does *not* own the dataset's suite unit.  Training
-    is deterministic and mirrors
-    :meth:`~repro.core.exploration.DesignSpaceExplorer.evaluate_point`
-    exactly (same trainer arguments, same volts-normalized training sigma,
-    same seeded simulation), so the cached
-    :class:`~repro.core.variation.VariationAnalysis` is bit-identical to
-    what the unsharded robustness pass would have stored under the same
-    key.
+    Self-contained on purpose: the point's tree is retrained here instead of
+    being looked up from a suite result, so a variation unit can run on a
+    shard that does *not* own the dataset's suite unit.  :func:`train_point`
+    grows the same tree the sweep grows, so the cached summary is
+    bit-identical to what the unsharded robustness pass would have stored
+    under the same key.
     """
-    from repro.core.adc_aware_training import ADCAwareTrainer
-    from repro.mltrees.evaluation import train_test_split
-    from repro.mltrees.quantize import quantize_dataset
-    from repro.pdk.egfet import default_technology
-
-    technology = default_technology()
-    data = load_dataset(dataset, seed=seed)
-    X_train, X_test, y_train, y_test = train_test_split(
-        data.X, data.y, test_size=test_size, seed=seed
-    )
-    trainer = ADCAwareTrainer(
-        max_depth=depth,
-        gini_threshold=tau,
-        resolution_bits=resolution_bits,
-        seed=seed,
-        training_sigma=training_sigma / technology.vdd,
-        robustness_weight=(robustness_weight if training_sigma > 0 else 0.0),
-    )
-    tree = trainer.fit(
-        quantize_dataset(X_train, resolution_bits), y_train, data.n_classes
-    )
+    tree, _, X_test, y_test = train_point(spec)
     return simulate_offset_variation(
         tree, X_test, y_test, sigma_v, n_trials=n_trials,
-        technology=technology, seed=seed,
+        technology=spec.technology, seed=spec.seed,
     )
+
+
+def _variation_tasks(units) -> list[tuple]:
+    """:func:`_variation_unit_job` arguments of variation work units."""
+    return [
+        (unit.params["spec"], unit.params["sigma_v"], unit.params["n_trials"])
+        for unit in units
+    ]
 
 
 @dataclass(frozen=True)
@@ -1013,23 +913,8 @@ def run_plan_shard(
 
     pending = [unit for unit in variation_units if unit.store_key not in store]
     if pending:
-        tasks = [
-            (
-                unit.dataset,
-                plan.seed,
-                unit.params["sigma_v"],
-                unit.params["n_trials"],
-                unit.params["depth"],
-                unit.params["tau"],
-                unit.params["resolution_bits"],
-                unit.params["test_size"],
-                unit.params["training_sigma"],
-                unit.params["robustness_weight"],
-            )
-            for unit in pending
-        ]
         with get_executor(jobs) as executor:
-            analyses = executor.map(_variation_unit_job, tasks)
+            analyses = executor.map(_variation_unit_job, _variation_tasks(pending))
         for unit, analysis in zip(pending, analyses):
             store.put(unit.store_key, analysis)
     store.flush_stats()

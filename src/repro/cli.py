@@ -191,6 +191,7 @@ from repro.core.sharding import (
     plan_suite_units,
 )
 from repro.circuits.cosim import SIMULATORS
+from repro.core.spec import DesignSpec, train_point
 from repro.core.store import ResultStore
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.mltrees.evaluation import ENGINES
@@ -271,18 +272,7 @@ def _add_suite_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="bypass the result store and recompute everything",
     )
-    _add_engine_argument(parser)
     _add_ppa_backend_argument(parser)
-
-
-def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="batch",
-        help="inference engine scoring the exploration's test sets "
-        "(bit-identical; 'bitparallel' = packed-uint64 cube kernel)",
-    )
 
 
 def _add_ppa_backend_argument(parser: argparse.ArgumentParser) -> None:
@@ -307,7 +297,6 @@ def _suite(args: argparse.Namespace, include_approximate: bool):
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        engine=args.engine,
         ppa_backend=args.ppa_backend,
     )
 
@@ -471,7 +460,6 @@ def _cmd_table2_robust(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             training_sigma=args.training_sigma,
-            engine=args.engine,
             ppa_backend=args.ppa_backend,
         )
     renders = []
@@ -486,7 +474,6 @@ def _cmd_table2_robust(args: argparse.Namespace) -> int:
                 cache_dir=args.cache_dir,
                 use_cache=not args.no_cache,
                 training_sigma=args.training_sigma,
-                engine=args.engine,
                 ppa_backend=args.ppa_backend,
             )
             for name in names
@@ -684,18 +671,11 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
 
 
 def _cmd_datasheet(args: argparse.Namespace) -> int:
-    from repro.core.adc_aware_training import ADCAwareTrainer
     from repro.core.datasheet import generate_datasheet
-    from repro.mltrees.evaluation import train_test_split
-    from repro.mltrees.quantize import quantize_dataset
 
-    dataset = load_dataset(args.dataset, seed=args.seed)
-    X_train, X_test, y_train, y_test = train_test_split(
-        dataset.X, dataset.y, test_size=0.3, seed=args.seed
+    tree, dataset, X_test, y_test = train_point(
+        DesignSpec(args.dataset, args.seed, args.depth, args.tau)
     )
-    tree = ADCAwareTrainer(
-        max_depth=args.depth, gini_threshold=args.tau, seed=args.seed
-    ).fit(quantize_dataset(X_train), y_train, dataset.n_classes)
     print(
         generate_datasheet(
             tree,
@@ -712,18 +692,9 @@ def _cmd_datasheet(args: argparse.Namespace) -> int:
 
 def _cosim_netlist(args: argparse.Namespace):
     """Train the requested classifier and compile its label-logic netlist."""
-    from repro.core.adc_aware_training import ADCAwareTrainer
     from repro.core.unary_tree import UnaryDecisionTree
-    from repro.mltrees.evaluation import train_test_split
-    from repro.mltrees.quantize import quantize_dataset
 
-    dataset = load_dataset(args.dataset, seed=args.seed)
-    X_train, _, y_train, _ = train_test_split(
-        dataset.X, dataset.y, test_size=0.3, seed=args.seed
-    )
-    tree = ADCAwareTrainer(
-        max_depth=args.depth, gini_threshold=args.tau, seed=args.seed
-    ).fit(quantize_dataset(X_train), y_train, dataset.n_classes)
+    tree = train_point(DesignSpec(args.dataset, args.seed, args.depth, args.tau)).tree
     return UnaryDecisionTree(tree).to_netlist(
         f"{args.dataset}_label_logic"
     )
@@ -819,7 +790,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         training_sigma=args.training_sigma,
-        engine=args.engine,
         ppa_backend=args.ppa_backend,
     )
     rows = exploration_rows(exploration.points)
@@ -989,7 +959,6 @@ def _cmd_surface(args: argparse.Namespace) -> int:
                     use_cache=not args.no_cache,
                     training_sigma=args.training_sigma,
                     cache_only=args.cache_only,
-                    engine=args.engine,
                     ppa_backend=args.ppa_backend,
                 )
             )
@@ -1501,7 +1470,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the robustness-annotated grid to this JSON file",
     )
-    _add_engine_argument(explore)
     _add_ppa_backend_argument(explore)
     explore.set_defaults(handler=_cmd_explore)
 

@@ -10,6 +10,9 @@ orchestration that ties them to the substrates:
   Section III-B from the trained tree parameters,
 * :mod:`repro.core.adc_aware_training` -- the ADC-aware training of
   Section III-C (Algorithm 1),
+* :mod:`repro.core.spec` -- the canonical identity of one design point
+  (:class:`DesignSpec`: its store keys and its trainer) and the single
+  from-scratch trainer :func:`train_point`,
 * :mod:`repro.core.exploration` -- the depth x tau design-space exploration
   and accuracy-loss-constrained selection used in Section IV,
 * :mod:`repro.core.codesign` -- the end-to-end :class:`CoDesignFramework`
@@ -53,6 +56,7 @@ from repro.core.sharding import (
 from repro.core.unary_tree import UnaryDecisionTree
 from repro.core.bespoke_adc import build_bespoke_adcs, build_bespoke_frontend
 from repro.core.adc_aware_training import ADCAwareTrainer
+from repro.core.spec import DesignSpec, train_point
 from repro.core.exploration import DesignPoint, DesignSpaceExplorer, select_best_design
 from repro.core.pareto import accuracy_area_front, accuracy_power_front, pareto_front
 from repro.core.power_budget import SelfPowerAnalysis, analyze_self_power
@@ -61,7 +65,6 @@ from repro.core.variation import (
     VariationAnalysis,
     offset_tolerance_sweep,
     simulate_offset_variation,
-    variation_result_key,
 )
 from repro.core.datasheet import generate_datasheet
 from repro.core.codesign import CoDesignFramework, CoDesignResult
@@ -92,6 +95,8 @@ __all__ = [
     "build_bespoke_adcs",
     "build_bespoke_frontend",
     "ADCAwareTrainer",
+    "DesignSpec",
+    "train_point",
     "DesignPoint",
     "DesignSpaceExplorer",
     "select_best_design",
@@ -106,6 +111,5 @@ __all__ = [
     "VariationAnalysis",
     "simulate_offset_variation",
     "offset_tolerance_sweep",
-    "variation_result_key",
     "generate_datasheet",
 ]

@@ -38,7 +38,7 @@ from repro.core.metrics import ClassifierDesign, ReductionReport, compare_design
 from repro.core.power_budget import SelfPowerAnalysis, analyze_self_power
 from repro.datasets.base import Dataset
 from repro.mltrees.cart import fit_baseline_tree
-from repro.mltrees.evaluation import resolve_engine, train_test_split
+from repro.mltrees.evaluation import train_test_split
 from repro.mltrees.quantize import quantize_dataset
 from repro.pdk.egfet import EGFETTechnology, default_technology
 
@@ -111,7 +111,6 @@ class CoDesignFramework:
         executor: Executor | None = None,
         training_sigma: float = 0.0,
         robustness_weight: float = 1.0,
-        engine: str = "batch",
         ppa_backend=None,
     ):
         from repro.circuits.ppa import resolve_ppa_backend
@@ -119,37 +118,33 @@ class CoDesignFramework:
         self.technology = technology if technology is not None else default_technology()
         self.resolution_bits = resolution_bits
         self.max_baseline_depth = max_baseline_depth
-        self.depths = tuple(depths)
-        self.taus = tuple(taus)
         self.accuracy_losses = tuple(accuracy_losses)
         self.test_size = test_size
         self.seed = seed
         self.include_approximate_baseline = include_approximate_baseline
-        #: Offset-aware training knobs of the depth x tau exploration: the
-        #: comparator offset sigma (volts) the trainer assumes, and the
-        #: weight of the expected-flip penalty in its split scores.  The
-        #: baseline [2] stays nominal -- it is the reference the accuracy
-        #: losses are measured against.
-        if training_sigma < 0:
-            raise ValueError("training_sigma must be >= 0")
-        if robustness_weight < 0:
-            raise ValueError("robustness_weight must be >= 0")
-        self.training_sigma = training_sigma
-        self.robustness_weight = robustness_weight
         #: Execution backend for the depth x tau sweep (None: serial).  Not
         #: part of the experiment configuration: it never changes results.
         self.executor = executor
-        #: Inference engine for the sweep's test-set scoring ("batch" or
-        #: "bitparallel").  Like the executor, pure execution tuning:
-        #: engines are bit-identical, so results and cache keys never
-        #: depend on it.
-        self.engine = resolve_engine(engine)
         #: Source of the digital area/power numbers for the unary designs
         #: (default: the analytic cell-count model, bit-identical to the
         #: pre-backend flow).  The baseline [2] comparator tree keeps the
         #: analytic model -- it is the literature reference the reductions
         #: are measured against, not a design this framework exports.
         self.ppa_backend = resolve_ppa_backend(ppa_backend)
+        #: The ADC-aware depth x tau sweep, trained offset-aware when
+        #: ``training_sigma`` (volts) and ``robustness_weight`` are positive.
+        #: The baseline [2] stays nominal -- it is the reference the
+        #: accuracy losses are measured against.
+        self.explorer = DesignSpaceExplorer(
+            technology=self.technology,
+            resolution_bits=resolution_bits,
+            depths=depths,
+            taus=taus,
+            seed=seed,
+            training_sigma=training_sigma,
+            robustness_weight=robustness_weight,
+            ppa_backend=self.ppa_backend,
+        )
 
     # ------------------------------------------------------------------ #
     # data preparation
@@ -222,18 +217,7 @@ class CoDesignFramework:
         y_test: np.ndarray,
     ) -> list[DesignPoint]:
         """Run the ADC-aware depth x tau sweep."""
-        explorer = DesignSpaceExplorer(
-            technology=self.technology,
-            resolution_bits=self.resolution_bits,
-            depths=self.depths,
-            taus=self.taus,
-            seed=self.seed,
-            training_sigma=self.training_sigma,
-            robustness_weight=self.robustness_weight,
-            engine=self.engine,
-            ppa_backend=self.ppa_backend,
-        )
-        return explorer.explore(
+        return self.explorer.explore(
             X_train_levels,
             y_train,
             X_test_levels,
@@ -265,16 +249,7 @@ class CoDesignFramework:
         _, X_test, _, y_test = train_test_split(
             dataset.X, dataset.y, test_size=self.test_size, seed=self.seed
         )
-        explorer = DesignSpaceExplorer(
-            technology=self.technology,
-            resolution_bits=self.resolution_bits,
-            depths=self.depths,
-            taus=self.taus,
-            seed=self.seed,
-            training_sigma=self.training_sigma,
-            robustness_weight=self.robustness_weight,
-        )
-        return explorer.evaluate_robustness(
+        return self.explorer.evaluate_robustness(
             exploration,
             X_test,
             y_test,

@@ -23,18 +23,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.core.bespoke_adc import build_bespoke_frontend
 from repro.core.executor import Executor, SerialExecutor
 from repro.core.metrics import HardwareReport
+from repro.core.spec import DesignSpec
 from repro.core.store import ResultStore
 from repro.core.unary_tree import UnaryDecisionTree
-from repro.core.variation import (
-    VariationAnalysis,
-    simulate_offset_variation,
-    variation_result_key,
-)
-from repro.mltrees.evaluation import evaluate_tree_accuracy, resolve_engine
+from repro.core.variation import VariationAnalysis, simulate_offset_variation
+from repro.mltrees.evaluation import evaluate_tree_accuracy
 from repro.mltrees.tree import DecisionTree
 from repro.pdk.egfet import EGFETTechnology, default_technology
 
@@ -155,6 +151,29 @@ def proposed_hardware_report(
     )
 
 
+def evaluate_design(
+    spec: DesignSpec,
+    tree: DecisionTree,
+    X_test_levels: np.ndarray,
+    y_test: np.ndarray,
+    ppa_backend=None,
+) -> DesignPoint:
+    """Score and cost a tree trained for ``spec``: the point's DesignPoint."""
+    return DesignPoint(
+        dataset=spec.dataset,
+        depth=spec.depth,
+        tau=spec.tau,
+        accuracy=evaluate_tree_accuracy(tree, X_test_levels, y_test),
+        hardware=proposed_hardware_report(
+            tree,
+            spec.technology,
+            name=f"codesign[d={spec.depth},tau={spec.tau:g}]",
+            ppa_backend=ppa_backend,
+        ),
+        tree=tree,
+    )
+
+
 class DesignSpaceExplorer:
     """Brute-force exploration of the (depth, tau) hyperparameter grid.
 
@@ -171,12 +190,6 @@ class DesignSpaceExplorer:
     robustness_weight:
         Weight of the expected-flip penalty in the trainer's split score
         (ignored while ``training_sigma`` is 0; default 1.0).
-    engine:
-        Inference engine used to score the test set at every grid point:
-        ``"batch"`` (default) or ``"bitparallel"`` (packed-uint64 cube
-        kernel, see :mod:`repro.core.bitkernel`).  Engines are bit-identical,
-        so this is pure execution tuning -- it is *not* part of the
-        experiment configuration or any cache key.
     ppa_backend:
         Source of every grid point's digital area/power (default: the
         analytic cell-count model; see :mod:`repro.circuits.ppa`).  Accepts
@@ -193,26 +206,32 @@ class DesignSpaceExplorer:
         seed: int = 0,
         training_sigma: float = 0.0,
         robustness_weight: float = 1.0,
-        engine: str = "batch",
         ppa_backend=None,
     ):
         from repro.circuits.ppa import resolve_ppa_backend
 
-        self.technology = technology if technology is not None else default_technology()
-        self.resolution_bits = resolution_bits
+        #: Every grid point trains this spec with its dataset, depth and tau.
+        self.spec = DesignSpec(
+            "",
+            seed,
+            resolution_bits=resolution_bits,
+            technology=technology,
+            training_sigma=training_sigma,
+            robustness_weight=robustness_weight,
+        )
         self.depths = tuple(depths)
         self.taus = tuple(taus)
-        self.seed = seed
-        if training_sigma < 0:
-            raise ValueError("training_sigma must be >= 0")
-        if robustness_weight < 0:
-            raise ValueError("robustness_weight must be >= 0")
-        self.training_sigma = training_sigma
-        self.robustness_weight = robustness_weight
-        self.engine = resolve_engine(engine)
         self.ppa_backend = resolve_ppa_backend(ppa_backend)
         if not self.depths or not self.taus:
             raise ValueError("the exploration grid must not be empty")
+
+    def point_spec(
+        self, dataset: str, depth: int, tau: float, test_size: float = 0.3
+    ) -> DesignSpec:
+        """The spec of one grid point (``test_size`` only matters to keys)."""
+        return replace(
+            self.spec, dataset=dataset, depth=depth, tau=tau, test_size=test_size
+        )
 
     def evaluate_point(
         self,
@@ -226,36 +245,9 @@ class DesignSpaceExplorer:
         dataset_name: str = "",
     ) -> DesignPoint:
         """Train and cost one (depth, tau) combination."""
-        trainer = ADCAwareTrainer(
-            max_depth=depth,
-            gini_threshold=tau,
-            resolution_bits=self.resolution_bits,
-            seed=self.seed,
-            # The trainer works in normalized full-scale units; the explorer
-            # speaks volts like every other sigma in the repository.
-            training_sigma=self.training_sigma / self.technology.vdd,
-            robustness_weight=(
-                self.robustness_weight if self.training_sigma > 0 else 0.0
-            ),
-        )
-        tree = trainer.fit(X_train_levels, y_train, n_classes)
-        accuracy = evaluate_tree_accuracy(
-            tree, X_test_levels, y_test, engine=self.engine
-        )
-        hardware = proposed_hardware_report(
-            tree,
-            self.technology,
-            name=f"codesign[d={depth},tau={tau:g}]",
-            ppa_backend=self.ppa_backend,
-        )
-        return DesignPoint(
-            dataset=dataset_name,
-            depth=depth,
-            tau=tau,
-            accuracy=accuracy,
-            hardware=hardware,
-            tree=tree,
-        )
+        spec = self.point_spec(dataset_name, depth, tau)
+        tree = spec.trainer().fit(X_train_levels, y_train, n_classes)
+        return evaluate_design(spec, tree, X_test_levels, y_test, self.ppa_backend)
 
     def explore(
         self,
@@ -341,19 +333,9 @@ class DesignSpaceExplorer:
         pending: list[int] = []
         for index, point in enumerate(points):
             if store is not None:
-                key = variation_result_key(
-                    point.dataset,
-                    self.seed,
-                    sigma_v,
-                    n_trials,
-                    point.depth,
-                    point.tau,
-                    self.resolution_bits,
-                    technology=self.technology,
-                    test_size=test_size,
-                    training_sigma=self.training_sigma,
-                    robustness_weight=self.robustness_weight,
-                )
+                key = self.point_spec(
+                    point.dataset, point.depth, point.tau, test_size
+                ).key("offset_variation", sigma_v=float(sigma_v), n_trials=int(n_trials))
                 keys[index] = key
                 cached = store.get(key)
                 if cached is not None:
@@ -369,8 +351,8 @@ class DesignSpaceExplorer:
                     y_test,
                     sigma_v,
                     n_trials,
-                    self.technology,
-                    self.seed,
+                    self.spec.technology,
+                    self.spec.seed,
                 )
                 for index in pending
             ]

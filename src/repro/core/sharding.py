@@ -38,9 +38,8 @@ import json
 from dataclasses import dataclass, field
 
 from repro.core.exploration import DEFAULT_DEPTHS, DEFAULT_TAUS, grid_points
+from repro.core.spec import DesignSpec
 from repro.core.store import make_key
-from repro.core.variation import canonical_training_knobs, variation_result_key
-from repro.datasets.registry import canonical_name
 from repro.pdk.egfet import default_technology
 
 
@@ -82,67 +81,62 @@ def suite_result_key(
 ) -> str:
     """Content-address one benchmark run of the suite configuration.
 
-    The key normalizes the dataset name and the grid containers and folds in
-    the (default) technology and the code version, so equivalent requests
-    alias and stale results from older code do not.  The offset-aware
-    training knobs participate too (canonicalized: ``training_sigma == 0``
-    zeroes the weight, because the penalty is inert then), so nominal and
-    offset-aware sweeps address distinct entries while equivalent nominal
-    requests keep aliasing.
+    The key normalizes the grid containers and folds in the (default)
+    technology and the code version; the dataset name and the offset-aware
+    training knobs are canonicalized by :class:`DesignSpec`, so equivalent
+    requests alias, nominal and offset-aware sweeps address distinct
+    entries, and stale results from older code do not alias.
     """
-    training_sigma, robustness_weight = canonical_training_knobs(
-        training_sigma, robustness_weight
+    spec = DesignSpec(
+        dataset, seed,
+        training_sigma=training_sigma, robustness_weight=robustness_weight,
     )
     return make_key(
-        dataset=canonical_name(dataset),
-        seed=seed,
+        dataset=spec.dataset,
+        seed=spec.seed,
         include_approximate_baseline=bool(include_approximate_baseline),
         depths=tuple(depths),
         taus=tuple(taus),
         technology=default_technology(),
-        training_sigma=float(training_sigma),
-        robustness_weight=float(robustness_weight),
+        training_sigma=spec.training_sigma,
+        robustness_weight=spec.robustness_weight,
     )
 
 
-def canonical_trial_key(
-    dataset: str,
-    seed: int,
-    depth: int,
-    tau: float,
-    resolution_bits: int = 4,
-    technology=None,
-    test_size: float = 0.3,
-    training_sigma: float = 0.0,
-    robustness_weight: float = 1.0,
-) -> str:
-    """Content-address one (dataset, depth, tau, training) design point.
+def suite_point(store, spec: DesignSpec, memo: dict | None = None):
+    """``spec``'s :class:`DesignPoint` lifted out of a cached suite sweep.
 
-    This is the **single** cache identity for an individually evaluated
-    design point, shared by search trials (:mod:`repro.search`) and any
-    future per-point consumer, so two code paths evaluating the same point
-    can never drift to different keys.  Normalization mirrors the suite and
-    variation keys exactly: canonical dataset name, canonical training
-    knobs (``training_sigma == 0`` zeroes the weight -- the penalty is
-    inert then, and ``robustness_weight == 0`` zeroes the sigma for the
-    same reason), the default technology when none is given, and the code
-    version folded in by :func:`~repro.core.store.make_key`.
+    Only points on the paper protocol qualify -- default technology, 4-bit
+    ADCs, the 70/30 split, (depth, tau) on the default grid -- because the
+    suite sweeps only ever run there; anything else returns ``None``.  Both
+    suite variants (Table I and Table II) are probed, since either caches
+    the same exploration sweep.  Probes are membership checks first, so a
+    missing variant never counts as a store miss.  ``memo`` (suite key ->
+    result or ``None``) lets a caller resolving many points load each
+    suite entry once.
     """
-    training_sigma, robustness_weight = canonical_training_knobs(
-        training_sigma, robustness_weight
-    )
-    return make_key(
-        kind="design_point",
-        dataset=canonical_name(dataset),
-        seed=int(seed),
-        depth=int(depth),
-        tau=float(tau),
-        resolution_bits=int(resolution_bits),
-        technology=technology if technology is not None else default_technology(),
-        test_size=float(test_size),
-        training_sigma=float(training_sigma),
-        robustness_weight=float(robustness_weight),
-    )
+    grid = grid_points(DEFAULT_DEPTHS, DEFAULT_TAUS)
+    point = (spec.depth, spec.tau)
+    if (
+        spec.resolution_bits != 4
+        or spec.technology != default_technology()
+        or spec.test_size != 0.3
+        or point not in grid
+    ):
+        return None
+    memo = {} if memo is None else memo
+    for include_approximate in (False, True):
+        key = suite_result_key(
+            spec.dataset, spec.seed, include_approximate,
+            DEFAULT_DEPTHS, DEFAULT_TAUS,
+            training_sigma=spec.training_sigma,
+            robustness_weight=spec.robustness_weight,
+        )
+        if key not in memo:
+            memo[key] = store.get(key) if key in store else None
+        if memo[key] is not None:
+            return memo[key].exploration[grid.index(point)]
+    return None
 
 
 @dataclass(frozen=True)
@@ -221,31 +215,30 @@ def suite_work_unit(
     robustness_weight: float = 1.0,
 ) -> WorkUnit:
     """The work unit of one per-dataset suite run (one cache entry)."""
-    name = canonical_name(dataset)
-    training_sigma, robustness_weight = canonical_training_knobs(
-        training_sigma, robustness_weight
+    spec = DesignSpec(
+        dataset, seed,
+        training_sigma=training_sigma, robustness_weight=robustness_weight,
     )
     variant = "table2" if include_approximate_baseline else "table1"
     return WorkUnit(
         kind="suite",
-        dataset=name,
-        seed=int(seed),
-        label=f"suite:{name}[{variant}]",
+        dataset=spec.dataset,
+        seed=spec.seed,
+        label=f"suite:{spec.dataset}[{variant}]",
         store_key=suite_result_key(
-            name, seed, include_approximate_baseline, depths, taus,
-            training_sigma=training_sigma, robustness_weight=robustness_weight,
+            spec.dataset, spec.seed, include_approximate_baseline, depths, taus,
+            training_sigma=spec.training_sigma,
+            robustness_weight=spec.robustness_weight,
         ),
         identity=(
-            "suite", name, int(seed), bool(include_approximate_baseline),
+            "suite", spec.dataset, spec.seed, bool(include_approximate_baseline),
             tuple(depths), tuple(taus),
-            float(training_sigma), float(robustness_weight),
+            spec.training_sigma, spec.robustness_weight,
         ),
         params={
             "include_approximate_baseline": bool(include_approximate_baseline),
             "depths": tuple(depths),
             "taus": tuple(taus),
-            "training_sigma": float(training_sigma),
-            "robustness_weight": float(robustness_weight),
         },
     )
 
@@ -262,35 +255,36 @@ def variation_work_unit(
     training_sigma: float = 0.0,
     robustness_weight: float = 1.0,
 ) -> WorkUnit:
-    """The work unit of one per-point offset Monte-Carlo (one cache entry)."""
-    name = canonical_name(dataset)
-    training_sigma, robustness_weight = canonical_training_knobs(
-        training_sigma, robustness_weight
+    """The work unit of one per-point offset Monte-Carlo (one cache entry).
+
+    ``params["spec"]`` is the :class:`DesignSpec` whose tree the unit
+    simulates.
+    """
+    spec = DesignSpec(
+        dataset, seed, depth, tau, resolution_bits, test_size=test_size,
+        training_sigma=training_sigma, robustness_weight=robustness_weight,
     )
+    sigma_v, n_trials = float(sigma_v), int(n_trials)
     return WorkUnit(
         kind="variation",
-        dataset=name,
-        seed=int(seed),
-        label=f"variation:{name}[d={depth},tau={tau:g},sigma={sigma_v:g}]",
-        store_key=variation_result_key(
-            name, seed, sigma_v, n_trials, depth, tau, resolution_bits,
-            test_size=test_size,
-            training_sigma=training_sigma, robustness_weight=robustness_weight,
+        dataset=spec.dataset,
+        seed=spec.seed,
+        label=(
+            f"variation:{spec.dataset}"
+            f"[d={spec.depth},tau={spec.tau:g},sigma={sigma_v:g}]"
         ),
+        store_key=spec.key("offset_variation", sigma_v=sigma_v, n_trials=n_trials),
         identity=(
-            "variation", name, int(seed), float(sigma_v), int(n_trials),
-            int(depth), float(tau), int(resolution_bits), float(test_size),
-            float(training_sigma), float(robustness_weight),
+            "variation", spec.dataset, spec.seed, sigma_v, n_trials,
+            spec.depth, spec.tau, spec.resolution_bits, spec.test_size,
+            spec.training_sigma, spec.robustness_weight,
         ),
         params={
-            "sigma_v": float(sigma_v),
-            "n_trials": int(n_trials),
-            "depth": int(depth),
-            "tau": float(tau),
-            "resolution_bits": int(resolution_bits),
-            "test_size": float(test_size),
-            "training_sigma": float(training_sigma),
-            "robustness_weight": float(robustness_weight),
+            "spec": spec,
+            "sigma_v": sigma_v,
+            "n_trials": n_trials,
+            "depth": spec.depth,
+            "tau": spec.tau,
         },
     )
 
@@ -395,10 +389,11 @@ def plan_suite_units(
     from repro.analysis.experiments import resolve_suite_datasets
 
     requested = resolve_suite_datasets(datasets, fast)
-    names = tuple(dict.fromkeys(canonical_name(name) for name in requested))
-    training_sigma, robustness_weight = canonical_training_knobs(
-        training_sigma, robustness_weight
+    names = tuple(dict.fromkeys(DesignSpec(name).dataset for name in requested))
+    knobs = DesignSpec(
+        "", training_sigma=training_sigma, robustness_weight=robustness_weight
     )
+    training_sigma, robustness_weight = knobs.training_sigma, knobs.robustness_weight
     sigma_values = normalize_sigmas(sigmas, sigma_v)
     units: list[WorkUnit] = []
     for name in names:

@@ -8,8 +8,8 @@ native values and the unit interval (``encode`` / ``decode``), and
 **decoding always snaps onto the dimension's canonical grid**: two
 floating-point spellings of the same trial collapse to one canonical
 configuration, one :func:`SearchSpace.config_id`, and therefore one
-deterministic cache identity
-(:func:`repro.core.sharding.canonical_trial_key`).  That snap is what makes
+deterministic cache identity (the ``"design_point"`` key of the trial's
+:class:`~repro.core.spec.DesignSpec`).  That snap is what makes
 trial dedup and cache warm-starts exact instead of epsilon-fuzzy.
 
 Discrete spaces (every dimension integer, categorical or step-quantized)

@@ -2,9 +2,9 @@
 
 :class:`Study` runs a :class:`~repro.search.optimizer.ParetoTPESampler`
 against one benchmark dataset for a fixed trial budget.  Each sampled
-configuration maps to **one deterministic cache identity**
-(:func:`repro.core.sharding.canonical_trial_key`), and trials resolve in
-layers before anything trains:
+configuration maps to one :class:`~repro.core.spec.DesignSpec` and so to
+**one deterministic cache identity** (its ``"design_point"`` key), and
+trials resolve in layers before anything trains:
 
 1. the per-trial entry itself (a previous study evaluated this point);
 2. the per-dataset suite entry -- configurations on the paper grid extract
@@ -15,10 +15,10 @@ layers before anything trains:
 3. a fresh, fully seeded training job fanned through the
    :class:`~repro.core.executor.Executor`.
 
-Training mirrors :meth:`DesignSpaceExplorer.evaluate_point` argument for
-argument (same volts-normalized training sigma, same seeded trainer), so a
-warm-started trial and a freshly trained one are bit-identical -- which is
-what lets cache layers stack without changing results.  Batches have a
+Training goes through :func:`~repro.core.spec.train_point`, which grows the
+tree the suite sweep grows at the same point, so a warm-started trial and a
+freshly trained one are bit-identical -- which is what lets cache layers
+stack without changing results.  Batches have a
 fixed size independent of ``jobs`` and the sampler is told in trial-number
 order, so ``jobs=1`` and ``jobs=N`` produce identical study records.
 """
@@ -30,21 +30,12 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.core.executor import get_executor
-from repro.core.exploration import DEFAULT_DEPTHS, DEFAULT_TAUS, grid_points
 from repro.core.metrics import HardwareReport
 from repro.core.pareto import non_dominated_indices
-from repro.core.sharding import (
-    MissingResultsError,
-    canonical_trial_key,
-    suite_result_key,
-)
+from repro.core.sharding import MissingResultsError, suite_point
+from repro.core.spec import DesignSpec, train_point
 from repro.core.store import ResultStore
-from repro.core.variation import (
-    VariationAnalysis,
-    canonical_training_knobs,
-    simulate_offset_variation,
-    variation_result_key,
-)
+from repro.core.variation import VariationAnalysis, simulate_offset_variation
 from repro.pdk.egfet import default_technology
 from repro.search.optimizer import ParetoTPESampler
 from repro.search.space import SearchSpace, paper_space
@@ -203,15 +194,7 @@ def _resolve_technology(name: str):
 
 
 def _trial_job(
-    dataset: str,
-    seed: int,
-    depth: int,
-    tau: float,
-    resolution_bits: int,
-    technology_name: str,
-    test_size: float,
-    training_sigma: float,
-    robustness_weight: float,
+    spec: DesignSpec,
     need_outcome: bool,
     sigma_v: float | None,
     variation_trials: int,
@@ -219,54 +202,33 @@ def _trial_job(
 ) -> tuple[dict | None, VariationAnalysis | None]:
     """Top-level (picklable) job: train and measure one design point.
 
-    Self-contained and deterministic, mirroring
-    :meth:`~repro.core.exploration.DesignSpaceExplorer.evaluate_point` (and
-    the sharded ``_variation_unit_job``) exactly -- same trainer arguments,
-    same volts-normalized training sigma, same seeded split and simulation
-    -- so the payload cached under the trial key is bit-identical to the
-    suite sweep's design point at the same configuration.
+    Self-contained and deterministic: :func:`train_point` grows the tree the
+    suite sweep grows at the same point, so the payload cached under the
+    trial key is bit-identical to the sweep's design point.
     """
-    from repro.core.adc_aware_training import ADCAwareTrainer
-    from repro.core.exploration import proposed_hardware_report
-    from repro.datasets.registry import load_dataset
-    from repro.mltrees.evaluation import evaluate_tree_accuracy, train_test_split
+    from repro.core.exploration import evaluate_design
     from repro.mltrees.quantize import quantize_dataset
 
-    technology = _resolve_technology(technology_name)
-    data = load_dataset(dataset, seed=seed)
-    X_train, X_test, y_train, y_test = train_test_split(
-        data.X, data.y, test_size=test_size, seed=seed
-    )
-    trainer = ADCAwareTrainer(
-        max_depth=depth,
-        gini_threshold=tau,
-        resolution_bits=resolution_bits,
-        seed=seed,
-        training_sigma=training_sigma / technology.vdd,
-        robustness_weight=(robustness_weight if training_sigma > 0 else 0.0),
-    )
-    tree = trainer.fit(
-        quantize_dataset(X_train, resolution_bits), y_train, data.n_classes
-    )
+    tree, _, X_test, y_test = train_point(spec)
     payload = None
     if need_outcome:
-        accuracy = evaluate_tree_accuracy(
-            tree, quantize_dataset(X_test, resolution_bits), y_test
+        point = evaluate_design(
+            spec, tree, quantize_dataset(X_test, spec.resolution_bits), y_test,
+            ppa_backend,
         )
-        hardware = proposed_hardware_report(
-            tree,
-            technology,
-            name=f"codesign[d={depth},tau={tau:g}]",
-            ppa_backend=ppa_backend,
-        )
-        payload = {"accuracy": float(accuracy), "hardware": hardware}
+        payload = _payload(point)
     analysis = None
     if sigma_v is not None:
         analysis = simulate_offset_variation(
             tree, X_test, y_test, sigma_v, n_trials=variation_trials,
-            technology=technology, seed=seed,
+            technology=spec.technology, seed=spec.seed,
         )
     return payload, analysis
+
+
+def _payload(point) -> dict:
+    """The cached outcome of one trial: a design point's accuracy and hardware."""
+    return {"accuracy": float(point.accuracy), "hardware": point.hardware}
 
 
 class Study:
@@ -381,78 +343,37 @@ class Study:
     # ------------------------------------------------------------------ #
     # cache resolution
     # ------------------------------------------------------------------ #
-    def trial_key(self, config: dict) -> str:
-        """The canonical cache identity of one configuration's outcome."""
+    def point_spec(self, config: dict) -> DesignSpec:
+        """The design point one configuration trains."""
         config = self.space.canonical(config)
-        return canonical_trial_key(
+        return DesignSpec(
             self.dataset,
             self.seed,
-            config["depth"],
-            config["tau"],
-            resolution_bits=config["resolution_bits"],
-            technology=_resolve_technology(config["technology"]),
-            test_size=self.test_size,
-            training_sigma=config["training_sigma"],
-            robustness_weight=config["robustness_weight"],
-        )
-
-    def _suite_point(self, config: dict):
-        """Extract the config's DesignPoint from a cached suite sweep, if any.
-
-        Only configurations on the paper protocol qualify (default
-        technology, 4-bit ADCs, the 70/30 split, (depth, tau) on the
-        default grid); both suite variants are probed, since either caches
-        the same exploration sweep.
-        """
-        if self.store is None:
-            return None
-        if (
-            config["technology"] != "default"
-            or int(config["resolution_bits"]) != 4
-            or self.test_size != 0.3
-        ):
-            return None
-        point = (int(config["depth"]), float(config["tau"]))
-        grid = grid_points(DEFAULT_DEPTHS, DEFAULT_TAUS)
-        if point not in grid:
-            return None
-        sigma, weight = canonical_training_knobs(
-            config["training_sigma"], config["robustness_weight"]
-        )
-        for include_approximate in (False, True):
-            key = suite_result_key(
-                self.dataset, self.seed, include_approximate,
-                DEFAULT_DEPTHS, DEFAULT_TAUS,
-                training_sigma=sigma, robustness_weight=weight,
-            )
-            if key not in self._suite_results:
-                # Membership probe first: a miss on the second variant must
-                # not inflate the store's miss counters on every trial.
-                self._suite_results[key] = (
-                    self.store.get(key) if key in self.store else None
-                )
-            result = self._suite_results[key]
-            if result is not None:
-                design = result.exploration[grid.index(point)]
-                return {
-                    "accuracy": float(design.accuracy),
-                    "hardware": design.hardware,
-                }
-        return None
-
-    def _variation_key(self, config: dict) -> str:
-        return variation_result_key(
-            self.dataset,
-            self.seed,
-            self.sigma_v,
-            self.variation_trials,
             config["depth"],
             config["tau"],
             config["resolution_bits"],
-            technology=_resolve_technology(config["technology"]),
-            test_size=self.test_size,
-            training_sigma=config["training_sigma"],
-            robustness_weight=config["robustness_weight"],
+            _resolve_technology(config["technology"]),
+            self.test_size,
+            config["training_sigma"],
+            config["robustness_weight"],
+        )
+
+    def trial_key(self, config: dict) -> str:
+        """The canonical cache identity of one configuration's outcome."""
+        return self.point_spec(config).key("design_point")
+
+    def _suite_point(self, config: dict) -> dict | None:
+        """The config's outcome from a cached suite sweep, if any."""
+        if self.store is None:
+            return None
+        point = suite_point(self.store, self.point_spec(config), self._suite_results)
+        return None if point is None else _payload(point)
+
+    def _variation_key(self, config: dict) -> str:
+        return self.point_spec(config).key(
+            "offset_variation",
+            sigma_v=float(self.sigma_v),
+            n_trials=int(self.variation_trials),
         )
 
     # ------------------------------------------------------------------ #
@@ -548,26 +469,16 @@ class Study:
             raise MissingResultsError(missing)
 
         if pending:
-            tasks = []
-            for index in pending:
-                config = configs[index]
-                tasks.append(
-                    (
-                        self.dataset,
-                        self.seed,
-                        int(config["depth"]),
-                        float(config["tau"]),
-                        int(config["resolution_bits"]),
-                        config["technology"],
-                        self.test_size,
-                        float(config["training_sigma"]),
-                        float(config["robustness_weight"]),
-                        resolved[index] is None,
-                        self.sigma_v if analyses[index] is None else None,
-                        self.variation_trials,
-                        self.ppa_backend,
-                    )
+            tasks = [
+                (
+                    self.point_spec(configs[index]),
+                    resolved[index] is None,
+                    self.sigma_v if analyses[index] is None else None,
+                    self.variation_trials,
+                    self.ppa_backend,
                 )
+                for index in pending
+            ]
             for index, (payload, analysis) in zip(
                 pending, executor.map(_trial_job, tasks)
             ):

@@ -381,77 +381,44 @@ def promote_design(
 ) -> ModelArtifact:
     """Train-or-reuse one ``(dataset, depth, tau)`` point and promote it.
 
-    The fast path is a **read-only** hit on the suite cache: when a full
-    benchmark-suite run for ``dataset`` is stored (default grid, same seed
-    and training knobs), the matching point is lifted out of its
-    ``exploration`` list without writing a byte to the cache directory (the
-    lookup store is opened with ``touch_on_get=False`` and its stats are
-    never flushed).  On a miss, exactly that one grid point is retrained
-    with the suite's split/quantization protocol -- bit-identical to what
-    the sweep would have produced -- again without touching the cache.
+    The fast path is a **read-only** hit on the suite cache: when a suite
+    sweep holding this exact point is stored (see
+    :func:`~repro.core.sharding.suite_point` -- paper protocol only, so a
+    2-bit or custom-technology request never reuses a 4-bit sweep), the
+    point is lifted out of its ``exploration`` list without writing a byte
+    to the cache directory (the lookup store is opened with
+    ``touch_on_get=False`` and its stats are never flushed).  On a miss,
+    exactly that one point is retrained by
+    :func:`~repro.core.spec.train_point` -- bit-identical to what the sweep
+    would have produced -- again without touching the cache.
     """
-    from repro.core.exploration import DEFAULT_DEPTHS, DEFAULT_TAUS, DesignSpaceExplorer
-    from repro.core.sharding import suite_result_key
+    from repro.core.exploration import evaluate_design
+    from repro.core.sharding import suite_point
+    from repro.core.spec import DesignSpec, train_point
     from repro.core.store import ResultStore, default_cache_dir
-    from repro.datasets.registry import canonical_name, load_dataset
-    from repro.mltrees.evaluation import train_test_split
     from repro.mltrees.quantize import quantize_dataset
 
-    canonical = canonical_name(dataset)
-    technology = technology if technology is not None else default_technology()
-    point: DesignPoint | None = None
-
+    spec = DesignSpec(
+        dataset, seed, depth, tau, resolution_bits, technology,
+        training_sigma=training_sigma, robustness_weight=robustness_weight,
+    )
     store = ResultStore(
         cache_dir if cache_dir is not None else default_cache_dir(),
         touch_on_get=False,
     )
-    key = suite_result_key(
-        canonical,
-        seed,
-        True,
-        DEFAULT_DEPTHS,
-        DEFAULT_TAUS,
-        training_sigma=training_sigma,
-        robustness_weight=robustness_weight,
-    )
-    cached = store.get(key)
-    if cached is not None:
-        for candidate in cached.exploration:
-            if candidate.depth == depth and abs(candidate.tau - tau) < 1e-12:
-                point = candidate
-                break
-
+    point = suite_point(store, spec)
     if point is None:
-        data = load_dataset(canonical, seed=seed)
-        X_train, X_test, y_train, y_test = train_test_split(
-            data.X, data.y, test_size=0.3, seed=seed
-        )
-        explorer = DesignSpaceExplorer(
-            technology=technology,
-            resolution_bits=resolution_bits,
-            depths=(depth,),
-            taus=(tau,),
-            seed=seed,
-            training_sigma=training_sigma,
-            robustness_weight=robustness_weight,
-        )
-        point = explorer.evaluate_point(
-            quantize_dataset(X_train, resolution_bits),
-            y_train,
-            quantize_dataset(X_test, resolution_bits),
-            y_test,
-            data.n_classes,
-            depth,
-            tau,
-            dataset_name=canonical,
+        tree, _, X_test, y_test = train_point(spec)
+        point = evaluate_design(
+            spec, tree, quantize_dataset(X_test, spec.resolution_bits), y_test
         )
 
     return registry.promote(
         point,
-        name if name is not None else f"{canonical}-d{depth}",
+        name if name is not None else f"{spec.dataset}-d{depth}",
         seed=seed,
         resolution_bits=resolution_bits,
-        technology=technology,
+        technology=spec.technology,
         training_sigma=training_sigma,
         robustness_weight=robustness_weight,
     )

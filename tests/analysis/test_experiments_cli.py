@@ -968,14 +968,16 @@ class TestVariationCacheKeyBugfix:
 
     def test_nominal_defaults_keep_the_legacy_key(self, tmp_path):
         from repro.analysis.experiments import run_variation_analysis
-        from repro.core.variation import variation_result_key
+        from repro.core.spec import DesignSpec
 
         store = ResultStore(cache_dir=tmp_path / "nominal")
         analysis = run_variation_analysis(
             "vertebral_2c", sigma_v=0.02, n_trials=4, seed=0, depth=3,
             tau=0.01, store=store,
         )
-        legacy_key = variation_result_key("vertebral_2c", 0, 0.02, 4, 3, 0.01)
+        legacy_key = DesignSpec("vertebral_2c", 0, 3, 0.01).key(
+            "offset_variation", sigma_v=0.02, n_trials=4
+        )
         assert store.get(legacy_key) == analysis
 
     def test_training_knobs_address_separate_entries(self, tmp_path):

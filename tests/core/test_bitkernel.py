@@ -198,13 +198,13 @@ class TestEngineDispatch:
         )
 
     @staticmethod
-    def _explore(engine):
+    def _explore():
         dataset = load_dataset("seeds", seed=0)
         X_train, X_test, y_train, y_test = train_test_split(
             dataset.X, dataset.y, test_size=0.3, seed=0
         )
         return DesignSpaceExplorer(
-            depths=(2, 3), taus=(0.0, 0.01), seed=0, engine=engine
+            depths=(2, 3), taus=(0.0, 0.01), seed=0
         ).explore(
             quantize_dataset(X_train),
             y_train,
@@ -214,17 +214,8 @@ class TestEngineDispatch:
             dataset_name="seeds",
         )
 
-    def test_explorer_results_engine_invariant(self):
-        batch = self._explore("batch")
-        packed = self._explore("bitparallel")
-        assert [p.accuracy for p in batch] == [p.accuracy for p in packed]
-
-    def test_explorer_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            DesignSpaceExplorer(engine="gpu")
-
     def test_design_point_kernel_property(self):
-        point = self._explore("batch")[0]
+        point = self._explore()[0]
         kernel = point.kernel
         assert kernel is compile_tree_kernel(point.tree)
         assert kernel.n_digits == len(kernel.comparators)

@@ -308,10 +308,15 @@ class TestDesignPointRobustnessColumns:
 
 class TestVariationKeyTestSize:
     def test_non_default_split_addresses_distinct_entries(self):
-        from repro.core.variation import variation_result_key
+        from repro.core.spec import DesignSpec
 
-        default = variation_result_key("seeds", 0, 0.02, 10, 3, 0.01)
-        explicit = variation_result_key("seeds", 0, 0.02, 10, 3, 0.01, test_size=0.3)
-        half = variation_result_key("seeds", 0, 0.02, 10, 3, 0.01, test_size=0.5)
+        def key(**fields):
+            return DesignSpec("seeds", 0, 3, 0.01, **fields).key(
+                "offset_variation", sigma_v=0.02, n_trials=10
+            )
+
+        default = key()
+        explicit = key(test_size=0.3)
+        half = key(test_size=0.5)
         assert default == explicit
         assert default != half

@@ -17,7 +17,8 @@ import pytest
 
 from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.core.exploration import DesignSpaceExplorer
-from repro.core.variation import simulate_offset_variation, variation_result_key
+from repro.core.spec import DesignSpec, train_point
+from repro.core.variation import simulate_offset_variation
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.mltrees.cart import CARTTrainer
 from repro.mltrees.evaluation import train_test_split
@@ -131,6 +132,23 @@ class TestExplorerThreading:
         )
         assert point.tree == direct
 
+    def test_spec_weight_zero_trains_the_nominal_tree(self):
+        """(sigma > 0, w = 0) is nominal training: the spec collapses the
+        knobs, and the tree equals the offset-aware trainer's at w = 0."""
+        inert = DesignSpec(
+            "seeds", 0, 4, 0.01, training_sigma=0.04, robustness_weight=0.0
+        )
+        assert inert == DesignSpec("seeds", 0, 4, 0.01)
+        data = load_dataset("seeds", seed=0)
+        X_train, _, y_train, _ = train_test_split(
+            data.X, data.y, test_size=0.3, seed=0
+        )
+        zero_weight = ADCAwareTrainer(
+            max_depth=4, gini_threshold=0.01, seed=0,
+            training_sigma=0.04, robustness_weight=0.0,
+        ).fit(quantize_dataset(X_train), y_train, data.n_classes)
+        assert train_point(inert).tree == zero_weight
+
     def test_negative_explorer_knobs_rejected(self):
         with pytest.raises(ValueError, match="training_sigma"):
             DesignSpaceExplorer(training_sigma=-0.01)
@@ -138,26 +156,24 @@ class TestExplorerThreading:
             DesignSpaceExplorer(robustness_weight=-1.0)
 
 
+def variation_key(**knobs) -> str:
+    """Variation key of seeds at depth 5, tau 0.01, 0.04 V, 100 trials."""
+    return DesignSpec("seeds", 0, 5, 0.01, **knobs).key(
+        "offset_variation", sigma_v=0.04, n_trials=100
+    )
+
+
 class TestCacheKeySeparation:
     def test_variation_key_distinguishes_training_sigma(self):
-        nominal = variation_result_key("seeds", 0, 0.04, 100, 5, 0.01)
-        aware = variation_result_key(
-            "seeds", 0, 0.04, 100, 5, 0.01, training_sigma=0.04,
-            robustness_weight=1.0,
-        )
+        nominal = variation_key()
+        aware = variation_key(training_sigma=0.04, robustness_weight=1.0)
         assert nominal != aware
 
     def test_variation_key_canonicalizes_inert_penalties(self):
         """sigma=0 or weight=0 is nominal training: all spellings alias."""
-        nominal = variation_result_key("seeds", 0, 0.04, 100, 5, 0.01)
-        assert nominal == variation_result_key(
-            "seeds", 0, 0.04, 100, 5, 0.01, training_sigma=0.0,
-            robustness_weight=3.0,
-        )
-        assert nominal == variation_result_key(
-            "seeds", 0, 0.04, 100, 5, 0.01, training_sigma=0.05,
-            robustness_weight=0.0,
-        )
+        nominal = variation_key()
+        assert nominal == variation_key(training_sigma=0.0, robustness_weight=3.0)
+        assert nominal == variation_key(training_sigma=0.05, robustness_weight=0.0)
 
     def test_suite_key_distinguishes_training_sigma(self):
         from repro.analysis.experiments import suite_result_key

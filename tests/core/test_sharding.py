@@ -23,8 +23,8 @@ from repro.core.sharding import (
     suite_work_unit,
     variation_work_unit,
 )
+from repro.core.spec import DesignSpec
 from repro.core.store import ResultStore
-from repro.core.variation import variation_result_key
 
 #: Tiny grid keeping planner tests instant.
 SMALL_GRID = dict(depths=(2, 3), taus=(0.0, 0.01))
@@ -64,7 +64,9 @@ class TestWorkUnits:
 
     def test_variation_unit_addresses_the_variation_cache_entry(self):
         unit = variation_work_unit("seeds", 0, 0.02, 5, 3, 0.01)
-        assert unit.store_key == variation_result_key("seeds", 0, 0.02, 5, 3, 0.01)
+        assert unit.store_key == DesignSpec("seeds", 0, 3, 0.01).key(
+            "offset_variation", sigma_v=0.02, n_trials=5
+        )
         assert unit.kind == "variation"
 
     def test_abbreviation_aliases_canonical_name(self):
@@ -149,6 +151,30 @@ class TestPlanSuiteUnits:
         store.put(plan.units[0].store_key, "stub")
         assert plan.missing(store) == plan.units[1:]
         assert store.stats.misses == 0  # pure membership checks
+
+
+class TestVariationUnitJob:
+    @pytest.mark.parametrize("training_sigma", [0.0, 0.02])
+    def test_unit_job_equals_the_exploration_robustness_pass(self, training_sigma):
+        """A shard's self-contained unit job retrains and simulates exactly
+        what the unsharded robustness pass attaches to the sweep's point."""
+        from repro.analysis.experiments import (
+            _variation_tasks,
+            _variation_unit_job,
+            run_robust_exploration,
+        )
+
+        exploration = run_robust_exploration(
+            "seeds", sigma_v=0.02, n_trials=5, training_sigma=training_sigma,
+            use_cache=False, **SMALL_GRID,
+        )
+        for point in exploration.points:
+            unit = variation_work_unit(
+                "seeds", 0, 0.02, 5, point.depth, point.tau,
+                training_sigma=training_sigma,
+            )
+            [task] = _variation_tasks([unit])
+            assert _variation_unit_job(*task) == point.robustness
 
 
 class TestNormalizeSigmas:

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.experiments import run_search_study
+from repro.analysis.experiments import run_benchmark_suite, run_search_study
 from repro.core.exploration import DEFAULT_DEPTHS, DEFAULT_TAUS, grid_points
 from repro.core.metrics import HardwareReport
 from repro.core.sharding import suite_result_key
@@ -38,6 +38,23 @@ SMALL_SPACE_DIMS = (
 
 def small_space() -> SearchSpace:
     return SearchSpace(SMALL_SPACE_DIMS)
+
+
+class StubSampler:
+    """Asks exactly one fixed configuration."""
+
+    def __init__(self, config):
+        self.config = config
+        self.asked = False
+
+    def ask(self, n):
+        if self.asked:
+            return []
+        self.asked = True
+        return [dict(self.config)]
+
+    def tell(self, config, objectives):
+        pass
 
 
 class TestParseObjectives:
@@ -187,22 +204,6 @@ class TestCacheLayers:
             fake_suite,
         )
 
-        class StubSampler:
-            """Asks exactly one fixed on-grid configuration."""
-
-            def __init__(self, config):
-                self.config = config
-                self.asked = False
-
-            def ask(self, n):
-                if self.asked:
-                    return []
-                self.asked = True
-                return [dict(self.config)]
-
-            def tell(self, config, objectives):
-                pass
-
         config = {
             "depth": 5, "tau": 0.01, "resolution_bits": 4,
             "technology": "default", "training_sigma": 0.0,
@@ -218,6 +219,38 @@ class TestCacheLayers:
         # The extraction was written through under the trial key, so the
         # next study hits layer 1 without touching the suite entry.
         assert store.get(study.trial_key(config))["accuracy"] == trial.accuracy
+
+
+    @pytest.mark.parametrize("training_sigma", [0.0, 0.02])
+    def test_trained_trial_equals_the_suite_point(self, training_sigma):
+        """A trial trained from scratch matches the sweep at its point, so
+        the suite-extraction layer and the training layer are interchangeable."""
+        (sweep,) = run_benchmark_suite(
+            datasets=("seeds",), depths=(3,), taus=(0.01,),
+            include_approximate_baseline=False, training_sigma=training_sigma,
+            use_cache=False,
+        )
+        config = {
+            "depth": 3, "tau": 0.01, "resolution_bits": 4,
+            "technology": "default", "training_sigma": training_sigma,
+            "robustness_weight": 1.0,
+        }
+        space = SearchSpace(
+            SMALL_SPACE_DIMS[:4]
+            + (
+                CategoricalDimension("training_sigma", (training_sigma,)),
+                CategoricalDimension("robustness_weight", (1.0,)),
+            )
+        )
+        study = Study(
+            "seeds", space=space, use_cache=False, sampler=StubSampler(config)
+        )
+        [trial] = study.run(budget=1).trials
+        [point] = sweep.exploration
+        assert not trial.from_cache
+        assert (trial.accuracy, trial.power_uw, trial.area_mm2) == (
+            point.accuracy, point.total_power_uw, point.total_area_mm2,
+        )
 
 
 class TestCacheOnly:

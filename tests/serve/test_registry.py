@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.bitkernel import WORD_BITS, compile_tree_kernel
 from repro.core.exploration import DesignSpaceExplorer
+from repro.core.store import ResultStore
 from repro.datasets.synthetic import make_classification_blobs
 from repro.mltrees.evaluation import train_test_split
 from repro.mltrees.quantize import quantize_dataset
@@ -204,3 +205,62 @@ class TestPromoteDesign:
         first = promote_design(registry, "vertebral_2c", 2, 0.0, **kwargs)
         again = promote_design(registry, "vertebral_2c", 2, 0.0, **kwargs)
         assert (again.version, again.digest) == (first.version, first.digest)
+
+    def test_promote_equals_the_sweep_point(self, tmp_path):
+        """Cold promotion retrains exactly the tree a suite sweep grows."""
+        from repro.analysis.experiments import run_benchmark_suite
+
+        (sweep,) = run_benchmark_suite(
+            datasets=("vertebral_2c",), depths=(3,), taus=(0.01,),
+            include_approximate_baseline=False, use_cache=False,
+        )
+        artifact = promote_design(
+            ModelRegistry(tmp_path / "registry"), "V2", 3, 0.01,
+            cache_dir=tmp_path / "cache",
+        )
+        [point] = sweep.exploration
+        assert artifact.tree == point.tree
+        assert artifact.accuracy == point.accuracy
+        assert artifact.hardware == point.hardware
+
+    def test_warm_suite_cache_serves_only_its_own_resolution(self, tmp_path):
+        """Regression: a warm 4-bit suite sweep used to be promoted for a
+        2-bit request; the warm promotion must equal the cold one."""
+        from repro.analysis.experiments import run_benchmark_suite
+
+        warm_dir = tmp_path / "warm"
+        run_benchmark_suite(
+            datasets=("vertebral_2c",), include_approximate_baseline=True,
+            store=ResultStore(warm_dir),
+        )
+        warm, cold = (
+            promote_design(
+                ModelRegistry(tmp_path / f"registry-{label}"), "vertebral_2c", 3,
+                0.0, resolution_bits=2, cache_dir=cache_dir,
+            )
+            for label, cache_dir in (("warm", warm_dir), ("cold", tmp_path / "cold"))
+        )
+        assert warm.tree.resolution_bits == 2
+        assert warm.tree == cold.tree
+        assert warm.accuracy == cold.accuracy
+
+    def test_warm_table1_sweep_is_lifted_without_training(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.analysis.experiments import run_benchmark_suite
+
+        (sweep,) = run_benchmark_suite(
+            datasets=("vertebral_2c",), include_approximate_baseline=False,
+            store=ResultStore(tmp_path / "cache"),
+        )
+
+        def no_training(spec):
+            raise AssertionError(f"{spec} was retrained")
+
+        monkeypatch.setattr("repro.core.spec.train_point", no_training)
+        artifact = promote_design(
+            ModelRegistry(tmp_path / "registry"), "vertebral_2c", 3, 0.0,
+            cache_dir=tmp_path / "cache",
+        )
+        [point] = [p for p in sweep.exploration if (p.depth, p.tau) == (3, 0.0)]
+        assert artifact.tree == point.tree
