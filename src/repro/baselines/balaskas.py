@@ -16,12 +16,17 @@ The re-implementation follows that published description:
 3. the accepted design is the feasible candidate with the lowest total power,
    implemented with truncated-threshold comparators and, per input, the
    smallest conventional flash ADC of the retained precision.
+
+Each greedy trial is scored on a flat node-array view of the candidate tree,
+picking every node's pre-truncated threshold for its input's trial precision,
+so no trial copies the tree; only the accepted precision is materialized as
+an approximated tree.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -30,8 +35,8 @@ from repro.circuits.area_power import estimate_netlist
 from repro.core.metrics import HardwareReport
 from repro.mltrees.cart import CARTTrainer
 from repro.mltrees.evaluation import accuracy_score
-from repro.mltrees.tree import DecisionTree
-from repro.baselines.mubarik import build_comparator_tree_netlist
+from repro.mltrees.tree import DecisionTree, TreeNode
+from repro.baselines.mubarik import build_comparator_tree_netlist, truncated_threshold
 from repro.pdk.egfet import EGFETTechnology, default_technology
 
 
@@ -39,22 +44,25 @@ def approximate_tree(tree: DecisionTree, per_feature_bits: dict[int, int]) -> De
     """Snap every threshold of ``tree`` onto the coarser grid of its feature.
 
     Reducing input ``f`` to ``b`` bits keeps only its ``b`` most significant
-    bits, so a full-resolution threshold ``k`` becomes
-    ``max(k >> (R - b), 1) << (R - b)`` -- the same truncation the hardware
-    comparator applies in :func:`build_comparator_tree_netlist`.
+    bits (:func:`~repro.baselines.mubarik.truncated_threshold`) -- the same
+    truncation the hardware comparator applies in
+    :func:`build_comparator_tree_netlist`.  ``tree`` itself is left untouched.
     """
     resolution = tree.resolution_bits
-    clone = copy.deepcopy(tree)
-    for node in clone.decision_nodes():
-        feature = node.feature
-        assert feature is not None and node.threshold_level is not None
-        bits = int(per_feature_bits.get(feature, resolution))
-        bits = min(max(bits, 1), resolution)
-        shift = resolution - bits
-        if shift == 0:
-            continue
-        node.threshold_level = max(node.threshold_level >> shift, 1) << shift
-    return clone
+
+    def rebuild(node: TreeNode) -> TreeNode:
+        if node.is_leaf:
+            return replace(node)
+        bits = per_feature_bits.get(node.feature, resolution)  # type: ignore[arg-type]
+        level = truncated_threshold(node.threshold_level, bits, resolution)  # type: ignore[arg-type]
+        return replace(
+            node,
+            threshold_level=level,
+            left=rebuild(node.left),  # type: ignore[arg-type]
+            right=rebuild(node.right),  # type: ignore[arg-type]
+        )
+
+    return DecisionTree(rebuild(tree.root), tree.n_features, tree.n_classes, resolution)
 
 
 @dataclass
@@ -96,22 +104,70 @@ class BalaskasApproximateDesign:
         )
 
 
+def _trial_scorer(
+    tree: DecisionTree, X_test_levels: np.ndarray, y_test: np.ndarray
+) -> Callable[[dict[int, int]], float]:
+    """Test accuracy of ``approximate_tree(tree, bits)`` as a function of ``bits``.
+
+    ``tree`` is flattened once into per-node arrays in :meth:`DecisionTree.nodes`
+    order, with a table of every node's truncated threshold for each precision
+    ``1 .. R``.  A trial then only picks each node's threshold for its input's
+    precision and routes all samples ``tree.depth`` levels down in lockstep
+    (leaves are their own children), predicting exactly what the approximated
+    tree would.
+    """
+    X_test_levels = np.asarray(X_test_levels)
+    resolution = tree.resolution_bits
+    nodes = tree.nodes()
+    position = {id(node): index for index, node in enumerate(nodes)}
+    rows = np.arange(len(nodes))
+    feature = np.zeros(len(nodes), dtype=np.intp)
+    left = rows.copy()
+    right = rows.copy()
+    prediction = np.array([node.prediction for node in nodes], dtype=np.int64)
+    #: thresholds[i, b]: node i's threshold with its input kept at b bits.
+    thresholds = np.zeros((len(nodes), resolution + 1), dtype=np.int64)
+    for index, node in enumerate(nodes):
+        if node.is_leaf:
+            continue
+        feature[index] = node.feature
+        left[index] = position[id(node.left)]
+        right[index] = position[id(node.right)]
+        thresholds[index, 1:] = [
+            truncated_threshold(node.threshold_level, bits, resolution)  # type: ignore[arg-type]
+            for bits in range(1, resolution + 1)
+        ]
+    depth = tree.depth
+    samples = np.arange(len(X_test_levels))
+
+    def score(per_feature_bits: dict[int, int]) -> float:
+        feature_bits = np.full(tree.n_features, resolution, dtype=np.intp)
+        for index, bits in per_feature_bits.items():
+            feature_bits[index] = bits
+        node_thresholds = thresholds[rows, feature_bits[feature]]
+        at = np.zeros(len(samples), dtype=np.intp)
+        for _ in range(depth):
+            goes_right = X_test_levels[samples, feature[at]] >= node_thresholds[at]
+            at = np.where(goes_right, right[at], left[at])
+        return accuracy_score(y_test, prediction[at])
+
+    return score
+
+
 def _greedy_precision_scaling(
     tree: DecisionTree,
     X_test_levels: np.ndarray,
     y_test: np.ndarray,
     accuracy_floor: float,
-    resolution_bits: int,
 ) -> tuple[dict[int, int], float]:
     """Greedily reduce per-input precision while staying above ``accuracy_floor``.
 
     Returns the accepted per-feature bit widths and the accuracy of the final
     approximated tree.
     """
-    bits = {feature: resolution_bits for feature in tree.used_features()}
-    accuracy = accuracy_score(
-        y_test, approximate_tree(tree, bits).predict_levels(X_test_levels)
-    )
+    score = _trial_scorer(tree, X_test_levels, y_test)
+    bits = {feature: tree.resolution_bits for feature in tree.used_features()}
+    accuracy = score(bits)
     improved = True
     while improved:
         improved = False
@@ -120,9 +176,7 @@ def _greedy_precision_scaling(
                 continue
             trial = dict(bits)
             trial[feature] = bits[feature] - 1
-            trial_accuracy = accuracy_score(
-                y_test, approximate_tree(tree, trial).predict_levels(X_test_levels)
-            )
+            trial_accuracy = score(trial)
             if trial_accuracy >= accuracy_floor:
                 bits = trial
                 accuracy = trial_accuracy
@@ -156,7 +210,9 @@ def fit_balaskas_design(
     reference_accuracy, reference_depth:
         Accuracy and depth of the exact baseline [2]; the accuracy-loss
         budget is measured against ``reference_accuracy`` and candidate trees
-        may be up to ``extra_depth`` levels deeper than ``reference_depth``.
+        may be up to ``extra_depth`` levels deeper than ``reference_depth``,
+        but no deeper than ``max_depth``.  ``reference_depth`` itself is
+        always a candidate, even when it exceeds ``max_depth``.
     max_accuracy_loss:
         Allowed absolute accuracy drop (e.g. 0.01 for the 1 % of Table II).
     resolution_bits:
@@ -169,9 +225,9 @@ def fit_balaskas_design(
     technology = technology if technology is not None else default_technology()
     accuracy_floor = reference_accuracy - max_accuracy_loss
 
+    shallowest = max(1, reference_depth)
     candidate_depths = range(
-        max(1, reference_depth),
-        min(max_depth, reference_depth + extra_depth) + 1,
+        shallowest, max(shallowest, min(max_depth, reference_depth + extra_depth)) + 1
     )
     best: BalaskasApproximateDesign | None = None
     best_power = float("inf")
@@ -186,7 +242,7 @@ def fit_balaskas_design(
         exact_accuracy = accuracy_score(y_test, tree.predict_levels(X_test_levels))
 
         bits, accuracy = _greedy_precision_scaling(
-            tree, X_test_levels, y_test, accuracy_floor, resolution_bits
+            tree, X_test_levels, y_test, accuracy_floor
         )
         design = BalaskasApproximateDesign(
             tree=approximate_tree(tree, bits),
@@ -213,6 +269,4 @@ def fit_balaskas_design(
                 technology=technology,
             )
 
-    chosen = best if best is not None else fallback
-    assert chosen is not None, "at least one candidate design is always produced"
-    return chosen
+    return best if best is not None else fallback

@@ -35,6 +35,22 @@ def comparator_variable(node_id: int) -> str:
     return f"cmp_{node_id}"
 
 
+def _retained_bits(bits: int, resolution: int) -> int:
+    """Input precision actually kept: ``bits`` clamped to ``1 .. resolution``."""
+    return min(max(int(bits), 1), resolution)
+
+
+def truncated_threshold(level: int, bits: int, resolution: int) -> int:
+    """Threshold level ``level`` on the grid of an input reduced to ``bits`` MSBs.
+
+    Keeps the ``bits`` most significant bits of the ``resolution``-bit level
+    and never truncates below the first nonzero grid step, so a comparison
+    ``x >= level`` stays a real comparison.  Full precision is the identity.
+    """
+    shift = resolution - _retained_bits(bits, resolution)
+    return max(level >> shift, 1) << shift
+
+
 def _node_paths(tree: DecisionTree) -> list[tuple[tuple[tuple[int, bool], ...], int]]:
     """Root-to-leaf paths as ``((node_id, took_right), ...), predicted class``."""
     paths: list[tuple[tuple[tuple[int, bool], ...], int]] = []
@@ -82,8 +98,7 @@ def build_comparator_tree_netlist(
     # Primary inputs: only the bits each comparator can observe.
     bit_nets: dict[int, list[str]] = {}
     for feature in tree.used_features():
-        bits = per_feature_bits.get(feature, resolution)
-        bits = min(max(int(bits), 1), resolution)
+        bits = _retained_bits(per_feature_bits.get(feature, resolution), resolution)
         # MSB-first list of this feature's visible bits.
         nets = [
             netlist.add_input(feature_bit_variable(feature, bit))
@@ -98,12 +113,9 @@ def build_comparator_tree_netlist(
         level = node.threshold_level
         assert feature is not None and level is not None
         bits = len(bit_nets[feature])
-        # Truncate the threshold onto the visible-bit grid (identity when the
-        # full resolution is kept).
-        shift = resolution - bits
-        constant = level >> shift
-        if constant == 0:
-            constant = 1
+        # The threshold on the visible-bit grid (identity when the full
+        # resolution is kept).
+        constant = truncated_threshold(level, bits, resolution) >> (resolution - bits)
         comparator_nets[node.node_id] = synthesize_constant_comparator(
             netlist, bit_nets[feature], constant, operation=">="
         )
