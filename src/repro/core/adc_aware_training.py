@@ -20,109 +20,63 @@ best Gini score and then uniformly at random, as in the paper.
 
 ``tau = 0`` leaves accuracy untouched (only equivalent-quality splits are
 reordered); larger ``tau`` trades accuracy for further hardware reduction.
+
+The tree is grown breadth-first, one level at a time.  A node's candidate
+table depends only on the samples that reached it, and every node of depth
+``d`` exists before any of them is split, so the candidates of a whole level
+are enumerated together: one ``bincount`` builds the ``(node, feature,
+level, class)`` histogram, and :func:`~repro.mltrees.split_search.split_gini`
+-- the scoring the per-node enumeration also uses -- turns it into every
+candidate's weighted Gini with one ``cumsum`` along the level axis.  The
+offset-aware expected-flip penalty stays one matrix product per node.  The
+tolerance mask ``score <= min + tau`` of every node falls out of the same
+arrays.  Nodes are batched up to a fixed number of histogram cells, which
+bounds the level's buffers.
+
+Selection stays sequential: the cost sets of a node depend on the pairs
+selected at every earlier node, and the tie-breaking RNG is one stream, so
+the level's nodes are visited in queue order and each runs the selection
+above on its own small tolerance set.  Node ids, RNG draws and cost sets
+therefore evolve exactly as in a node-at-a-time loop, and the trees are
+identical to it (``tests/core/test_level_batched_training.py``).
+
+The conventional trainer (:class:`~repro.mltrees.cart.CARTTrainer`) is not
+batched this way: it grows depth-first, so its RNG draws interleave across
+subtrees, and a level order would change its trees.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.mltrees.cart import GINI_TIE_TOLERANCE
 from repro.mltrees.split_search import (
-    CandidateTable,
-    SplitCandidate,
-    class_histogram,
-    enumerate_split_candidates,
+    check_training_data,
+    level_flip_matrix,
+    split_gini,
 )
 from repro.mltrees.tree import DecisionTree, TreeNode
 
+#: Histogram cells (node x feature x level x class) enumerated in one batch.
+#: Bounds every per-level buffer to about 1 MiB, whatever the level's node
+#: count and the dataset's width.
+_BATCH_CELLS = 1 << 17
 
-@dataclass(frozen=True)
-class SplitCostSets:
-    """Partition of the tolerance set ``S`` by induced ADC hardware cost.
-
-    Members are :class:`CandidateTable` sub-tables on the columnar path, or
-    tuples of :class:`SplitCandidate` when built from an object list; both
-    support ``len``, truth-testing and iteration, so cost-ordering logic is
-    agnostic to the representation.
-    """
-
-    zero_cost: CandidateTable | tuple[SplitCandidate, ...]
-    medium_cost: CandidateTable | tuple[SplitCandidate, ...]
-    high_cost: CandidateTable | tuple[SplitCandidate, ...]
+#: One tolerance-set member: ``(score, feature, threshold_level)``.
+Candidate = tuple[float, int, int]
 
 
-def _cost_masks(
-    table: CandidateTable,
-    selected_pairs: set[tuple[int, int]],
-    selected_features: set[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boolean masks of the S_Z / S_M / S_H rows of a candidate table.
-
-    Membership is tested through dense boolean lookup tables (the feature /
-    level universe is tiny: ``n_features x 2**resolution_bits``), so the cost
-    per node is one fancy-index gather per set rather than a sort-based
-    ``isin``.
-    """
-    n = len(table)
-    if selected_pairs and n:
-        pair_features = [feature for feature, _ in selected_pairs]
-        pair_levels = [level for _, level in selected_pairs]
-        lookup = np.zeros(
-            (
-                max(int(table.feature.max()), max(pair_features)) + 1,
-                max(int(table.threshold_level.max()), max(pair_levels)) + 1,
-            ),
-            dtype=bool,
-        )
-        lookup[pair_features, pair_levels] = True
-        zero = lookup[table.feature, table.threshold_level]
-    else:
-        zero = np.zeros(n, dtype=bool)
-    if selected_features and n:
-        known = np.zeros(
-            max(int(table.feature.max()), max(selected_features)) + 1, dtype=bool
-        )
-        known[list(selected_features)] = True
-        on_known_input = known[table.feature]
-    else:
-        on_known_input = np.zeros(n, dtype=bool)
-    medium = on_known_input & ~zero
-    high = ~on_known_input & ~zero
-    return zero, medium, high
-
-
-def partition_by_cost(
-    candidates: CandidateTable | list[SplitCandidate],
-    selected_pairs: set[tuple[int, int]],
-    selected_features: set[int],
-) -> SplitCostSets:
-    """Split ``candidates`` into the S_Z / S_M / S_H sets of Algorithm 1.
-
-    A :class:`CandidateTable` is partitioned with vectorized membership
-    tests into three sub-tables; object-based candidate lists keep the
-    historical per-candidate scan and return tuples.
-    """
-    if isinstance(candidates, CandidateTable):
-        zero, medium, high = _cost_masks(candidates, selected_pairs, selected_features)
-        return SplitCostSets(
-            candidates.select(zero), candidates.select(medium), candidates.select(high)
-        )
-    zero_list: list[SplitCandidate] = []
-    medium_list: list[SplitCandidate] = []
-    high_list: list[SplitCandidate] = []
-    for candidate in candidates:
-        pair = (candidate.feature, candidate.threshold_level)
-        if pair in selected_pairs:
-            zero_list.append(candidate)
-        elif candidate.feature in selected_features:
-            medium_list.append(candidate)
-        else:
-            high_list.append(candidate)
-    return SplitCostSets(tuple(zero_list), tuple(medium_list), tuple(high_list))
+def _make_node(node_id: int, counts: list[int], depth: int) -> TreeNode:
+    """A leaf holding ``counts`` (Python ints) as its class histogram."""
+    return TreeNode(
+        node_id=node_id,
+        prediction=counts.index(max(counts)),
+        n_samples=sum(counts),
+        class_counts=tuple(counts),
+        depth=depth,
+    )
 
 
 class ADCAwareTrainer:
@@ -202,70 +156,6 @@ class ADCAwareTrainer:
         return self.robustness_weight > 0 and self.training_sigma > 0
 
     # ------------------------------------------------------------------ #
-    # Algorithm 1 split enumeration / selection (columnar)
-    # ------------------------------------------------------------------ #
-    def _node_candidates(
-        self,
-        X_levels: np.ndarray,
-        y: np.ndarray,
-        indices: np.ndarray,
-        n_classes: int,
-        n_levels: int,
-    ) -> CandidateTable:
-        """Candidate splits of one node as a columnar table."""
-        return enumerate_split_candidates(
-            X_levels, y, indices, n_classes, n_levels, self.min_samples_leaf,
-            flip_sigma=self.training_sigma if self.offset_aware else None,
-        )
-
-    def _split_scores(self, candidates: CandidateTable) -> np.ndarray:
-        """Per-candidate split score (Gini, plus the expected-flip penalty).
-
-        With ``robustness_weight == 0`` this returns the Gini column itself,
-        keeping the nominal path bit-identical to the pre-offset-aware
-        trainer.
-        """
-        if not self.offset_aware:
-            return candidates.gini
-        return candidates.gini + self.robustness_weight * candidates.expected_flips
-
-    def _select_split(
-        self,
-        candidates: CandidateTable,
-        selected_pairs: set[tuple[int, int]],
-        selected_features: set[int],
-        rng: random.Random,
-    ) -> SplitCandidate:
-        """Algorithm 1 selection as array reductions over the candidate table.
-
-        Every filter (tolerance set, cost partition, low-power level, score
-        ties) preserves the table's (feature, threshold) order and the final
-        tie-break draws once over the finalist set, so the RNG stream -- and
-        therefore the grown tree -- is bit-identical to the historical
-        object-list implementation whenever the expected-flip penalty is
-        inactive.  When it is active, the same structure applies to the
-        penalized score ``gini + robustness_weight * expected_flips``: the
-        tolerance set and every tie-break then prefer thresholds in sparse
-        sample regions.
-        """
-        scores = self._split_scores(candidates)
-        tolerance_set = candidates.select(
-            scores <= scores.min() + self.gini_threshold + 1e-15
-        )
-        sets = partition_by_cost(tolerance_set, selected_pairs, selected_features)
-
-        if sets.zero_cost:
-            pool = sets.zero_cost
-        else:
-            pool = sets.medium_cost if sets.medium_cost else sets.high_cost
-            if self.prefer_low_power_levels:
-                # Secondary objective: smallest threshold => lowest-power comparator.
-                pool = pool.select(pool.threshold_level == pool.threshold_level.min())
-        pool_scores = self._split_scores(pool)
-        finalists = np.nonzero(pool_scores <= pool_scores.min() + GINI_TIE_TOLERANCE)[0]
-        return pool.candidate(rng.choice(finalists.tolist()))
-
-    # ------------------------------------------------------------------ #
     # fitting
     # ------------------------------------------------------------------ #
     def fit(
@@ -277,75 +167,76 @@ class ADCAwareTrainer:
         selected ``(feature, threshold)`` pairs -- which defines the cost of
         future selections -- evolves in the node order of Algorithm 1.
         """
-        X_levels = np.asarray(X_levels, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        if X_levels.ndim != 2:
-            raise ValueError("X_levels must be a 2-D matrix")
-        if len(X_levels) != len(y):
-            raise ValueError("X_levels and y must have the same number of samples")
-        if len(y) == 0:
-            raise ValueError("cannot train on an empty dataset")
-        if n_classes is None:
-            n_classes = int(y.max()) + 1
-        n_levels = 2 ** self.resolution_bits
-        if X_levels.min() < 0 or X_levels.max() >= n_levels:
-            raise ValueError(
-                f"quantized levels must lie in [0, {n_levels - 1}] for "
-                f"{self.resolution_bits}-bit inputs"
-            )
-
+        X_levels, y, n_classes = check_training_data(
+            X_levels, y, n_classes, self.resolution_bits
+        )
         rng = random.Random(self.seed)
         selected_pairs: set[tuple[int, int]] = set()
         selected_features: set[int] = set()
-        node_counter = 0
 
-        def make_node(indices: np.ndarray, depth: int) -> TreeNode:
-            nonlocal node_counter
-            counts = class_histogram(y[indices], n_classes)
-            node = TreeNode(
-                node_id=node_counter,
-                prediction=int(np.argmax(counts)),
-                n_samples=int(indices.size),
-                class_counts=tuple(int(c) for c in counts),
-                depth=depth,
+        root = _make_node(0, np.bincount(y, minlength=n_classes).tolist(), 0)
+        next_id = 1
+        level = [root]  # the nodes of one depth, in queue order
+        samples = np.arange(len(y))  # the samples of those nodes ...
+        slot = np.zeros(len(y), dtype=np.int64)  # ... and each one's node in `level`
+        for depth in range(self.max_depth):
+            splittable = [
+                position
+                for position, node in enumerate(level)
+                if node.n_samples >= self.min_samples_split
+                and sum(count > 0 for count in node.class_counts) > 1
+            ]
+            if not splittable:
+                break
+            rank = np.full(len(level), -1, dtype=np.int64)
+            rank[splittable] = np.arange(len(splittable))
+            slot = rank[slot]
+            keep = slot >= 0
+            samples, slot = samples[keep], slot[keep]
+
+            tolerance_sets = self._tolerance_sets(
+                X_levels, y, samples, slot,
+                [level[position].n_samples for position in splittable], n_classes,
             )
-            node_counter += 1
-            return node
+            splits: list[tuple[int, int, int]] = []
+            for rank_k, candidates in enumerate(tolerance_sets):
+                if not candidates:
+                    continue
+                feature, threshold = self._select_split(
+                    candidates, selected_pairs, selected_features, rng
+                )
+                selected_pairs.add((feature, threshold))
+                selected_features.add(feature)
+                splits.append((rank_k, feature, threshold))
+            if not splits:
+                break
 
-        root_indices = np.arange(len(y))
-        root = make_node(root_indices, 0)
-        queue: deque[tuple[TreeNode, np.ndarray]] = deque([(root, root_indices)])
+            # Route every sample to its child: split j owns slots 2j and 2j+1.
+            ranks, features, thresholds = (np.array(column) for column in zip(*splits))
+            child = np.full((len(splittable), 2), -1, dtype=np.int64)
+            child[ranks] = np.arange(2 * len(splits)).reshape(-1, 2)
+            split_feature = np.zeros(len(splittable), dtype=np.int64)
+            split_feature[ranks] = features
+            split_threshold = np.zeros(len(splittable), dtype=np.int64)
+            split_threshold[ranks] = thresholds
+            goes_right = X_levels[samples, split_feature[slot]] >= split_threshold[slot]
+            slot = child[slot, goes_right.astype(np.int64)]
+            keep = slot >= 0
+            samples, slot = samples[keep], slot[keep]
+            child_counts = np.bincount(
+                slot * n_classes + y[samples], minlength=2 * len(splits) * n_classes
+            ).reshape(-1, n_classes).tolist()
 
-        while queue:
-            node, indices = queue.popleft()
-            counts = np.asarray(node.class_counts)
-            is_pure = int(np.count_nonzero(counts)) <= 1
-            if (
-                node.depth >= self.max_depth
-                or is_pure
-                or indices.size < self.min_samples_split
-            ):
-                continue
-            candidates = self._node_candidates(X_levels, y, indices, n_classes, n_levels)
-            if not candidates:
-                continue
-            split = self._select_split(candidates, selected_pairs, selected_features, rng)
-
-            mask = X_levels[indices, split.feature] >= split.threshold_level
-            right_indices = indices[mask]
-            left_indices = indices[~mask]
-            if left_indices.size == 0 or right_indices.size == 0:
-                continue
-
-            node.feature = split.feature
-            node.threshold_level = split.threshold_level
-            selected_pairs.add((split.feature, split.threshold_level))
-            selected_features.add(split.feature)
-
-            node.left = make_node(left_indices, node.depth + 1)
-            node.right = make_node(right_indices, node.depth + 1)
-            queue.append((node.left, left_indices))
-            queue.append((node.right, right_indices))
+            next_level: list[TreeNode] = []
+            for j, (rank_k, feature, threshold) in enumerate(splits):
+                node = level[splittable[rank_k]]
+                node.feature = feature
+                node.threshold_level = threshold
+                node.left = _make_node(next_id, child_counts[2 * j], depth + 1)
+                node.right = _make_node(next_id + 1, child_counts[2 * j + 1], depth + 1)
+                next_id += 2
+                next_level += (node.left, node.right)
+            level = next_level
 
         return DecisionTree(
             root=root,
@@ -353,3 +244,100 @@ class ADCAwareTrainer:
             n_classes=n_classes,
             resolution_bits=self.resolution_bits,
         )
+
+    # ------------------------------------------------------------------ #
+    # Algorithm 1 split enumeration / selection
+    # ------------------------------------------------------------------ #
+    def _tolerance_sets(
+        self,
+        X_levels: np.ndarray,
+        y: np.ndarray,
+        samples: np.ndarray,
+        slot: np.ndarray,
+        sizes: list[int],
+        n_classes: int,
+    ) -> list[list[Candidate]]:
+        """The tolerance set ``S`` of every node of one level.
+
+        Node ``k`` holds the samples ``samples[slot == k]``, ``sizes[k]`` of
+        them.  Returns one list per node of the candidates whose score is
+        within ``tau`` of the node's best, in ``(feature, threshold_level)``
+        order; a node without a valid split gets an empty list.
+        """
+        n_features = X_levels.shape[1]
+        n_levels = 2 ** self.resolution_bits
+        n_thresholds = n_levels - 1
+        block = n_features * n_levels * n_classes
+        feature_base = np.arange(n_features, dtype=np.int64) * (n_levels * n_classes)
+        flip_matrix = (
+            level_flip_matrix(n_levels, self.training_sigma) if self.offset_aware else None
+        )
+        nodes_per_batch = max(1, _BATCH_CELLS // block)
+        tolerance_sets: list[list[Candidate]] = []
+        for start in range(0, len(sizes), nodes_per_batch):
+            batch_sizes = sizes[start:start + nodes_per_batch]
+            width = len(batch_sizes)
+            in_batch = (slot >= start) & (slot < start + width)
+            rows, node = samples[in_batch], slot[in_batch] - start
+            codes = (
+                (node * block)[:, np.newaxis]
+                + feature_base[np.newaxis, :]
+                + X_levels[rows] * n_classes
+                + y[rows][:, np.newaxis]
+            )
+            hist = np.bincount(codes.ravel(), minlength=width * block).reshape(
+                width, n_features, n_levels, n_classes
+            )
+
+            scores, _, valid = split_gini(hist, batch_sizes, self.min_samples_leaf)
+            if flip_matrix is not None:
+                # Per node, the same product as the node-at-a-time enumeration.
+                level_counts = hist.sum(axis=3)                    # (N, F, L)
+                expected_flips = np.stack([
+                    (counts @ flip_matrix) / size
+                    for counts, size in zip(level_counts, batch_sizes)
+                ])
+                scores = scores + self.robustness_weight * expected_flips
+
+            valid = valid.reshape(width, -1)
+            scores = np.where(valid, scores.reshape(width, -1), np.inf)
+            bound = scores.min(axis=1) + self.gini_threshold + 1e-15
+            tolerance = valid & (scores <= bound[:, np.newaxis])
+            node_of, flat = np.nonzero(tolerance)
+            members = list(zip(
+                scores[node_of, flat].tolist(),
+                (flat // n_thresholds).tolist(),
+                (flat % n_thresholds + 1).tolist(),
+            ))
+            end = 0
+            for count in tolerance.sum(axis=1).tolist():
+                tolerance_sets.append(members[end:end + count])
+                end += count
+        return tolerance_sets
+
+    def _select_split(
+        self,
+        candidates: list[Candidate],
+        selected_pairs: set[tuple[int, int]],
+        selected_features: set[int],
+        rng: random.Random,
+    ) -> tuple[int, int]:
+        """Algorithm 1's choice from one node's tolerance set.
+
+        The first non-empty cost set wins (S_Z, then S_M, then S_H); inside
+        S_M / S_H only the lowest threshold level stays when
+        ``prefer_low_power_levels`` is set.  The best-scoring finalists, in
+        the tolerance set's order, share one ``rng.choice``.  Returns the
+        chosen ``(feature, threshold_level)``.
+        """
+        pool = [c for c in candidates if (c[1], c[2]) in selected_pairs]
+        if not pool:
+            # no S_Z: S_M if non-empty, else every candidate is in S_H
+            pool = [c for c in candidates if c[1] in selected_features] or candidates
+            if self.prefer_low_power_levels:
+                # Secondary objective: smallest threshold => lowest-power comparator.
+                lowest = min(c[2] for c in pool)
+                pool = [c for c in pool if c[2] == lowest]
+        cutoff = min(c[0] for c in pool) + GINI_TIE_TOLERANCE
+        _, feature, threshold = rng.choice([c for c in pool if c[0] <= cutoff])
+        return feature, threshold

@@ -22,6 +22,7 @@ from repro.mltrees.evaluation import accuracy_score
 from repro.mltrees.split_search import (
     CandidateTable,
     SplitCandidate,
+    check_training_data,
     class_histogram,
     enumerate_split_candidates,
 )
@@ -112,22 +113,10 @@ class CARTTrainer:
         n_classes:
             Number of classes (inferred from ``y`` when omitted).
         """
-        X_levels = np.asarray(X_levels, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        if X_levels.ndim != 2:
-            raise ValueError("X_levels must be a 2-D matrix")
-        if len(X_levels) != len(y):
-            raise ValueError("X_levels and y must have the same number of samples")
-        if len(y) == 0:
-            raise ValueError("cannot train on an empty dataset")
-        if n_classes is None:
-            n_classes = int(y.max()) + 1
+        X_levels, y, n_classes = check_training_data(
+            X_levels, y, n_classes, self.resolution_bits
+        )
         n_levels = 2 ** self.resolution_bits
-        if X_levels.min() < 0 or X_levels.max() >= n_levels:
-            raise ValueError(
-                f"quantized levels must lie in [0, {n_levels - 1}] "
-                f"for {self.resolution_bits}-bit inputs"
-            )
 
         rng = random.Random(self.seed)
         node_counter = [0]

@@ -5,7 +5,10 @@ list-based split-selection policies that predate the columnar
 :class:`~repro.mltrees.split_search.CandidateTable` refactor: one Python loop
 per feature, one :class:`~repro.mltrees.split_search.SplitCandidate` object
 per (feature, threshold) pair, and interpreter-speed ``min``/list-comp scans
-during selection.
+during selection.  The ADC-aware reference also keeps its own node-at-a-time
+breadth-first ``fit`` loop and the S_Z / S_M / S_H partition
+(:func:`partition_by_cost`), so it shares no training code with the
+level-batched production trainer it checks.
 
 No production path uses it.  It exists so that
 
@@ -22,12 +25,19 @@ No production path uses it.  It exists so that
 from __future__ import annotations
 
 import random
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.adc_aware_training import ADCAwareTrainer, partition_by_cost
+from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.mltrees.cart import CARTTrainer, GINI_TIE_TOLERANCE
-from repro.mltrees.split_search import SplitCandidate
+from repro.mltrees.split_search import (
+    SplitCandidate,
+    check_training_data,
+    class_histogram,
+)
+from repro.mltrees.tree import DecisionTree, TreeNode
 
 
 def legacy_enumerate_split_candidates(
@@ -88,6 +98,40 @@ def legacy_enumerate_split_candidates(
     return candidates
 
 
+@dataclass(frozen=True)
+class SplitCostSets:
+    """Partition of the tolerance set ``S`` by induced ADC hardware cost."""
+
+    zero_cost: tuple[SplitCandidate, ...]
+    medium_cost: tuple[SplitCandidate, ...]
+    high_cost: tuple[SplitCandidate, ...]
+
+
+def partition_by_cost(
+    candidates: list[SplitCandidate],
+    selected_pairs: set[tuple[int, int]],
+    selected_features: set[int],
+) -> SplitCostSets:
+    """Split ``candidates`` into the S_Z / S_M / S_H sets of Algorithm 1.
+
+    S_Z holds pairs already selected at another node, S_M new levels on an
+    input that already has an ADC, and S_H pairs on a new input; each keeps
+    the candidates' order.
+    """
+    zero_list: list[SplitCandidate] = []
+    medium_list: list[SplitCandidate] = []
+    high_list: list[SplitCandidate] = []
+    for candidate in candidates:
+        pair = (candidate.feature, candidate.threshold_level)
+        if pair in selected_pairs:
+            zero_list.append(candidate)
+        elif candidate.feature in selected_features:
+            medium_list.append(candidate)
+        else:
+            high_list.append(candidate)
+    return SplitCostSets(tuple(zero_list), tuple(medium_list), tuple(high_list))
+
+
 class LegacyCARTTrainer(CARTTrainer):
     """CART trainer on the historical object-based split search."""
 
@@ -113,7 +157,82 @@ class LegacyCARTTrainer(CARTTrainer):
 
 
 class LegacyADCAwareTrainer(ADCAwareTrainer):
-    """ADC-aware trainer on the historical object-based split search."""
+    """ADC-aware trainer on the historical object-based split search.
+
+    It shares only the constructor with :class:`ADCAwareTrainer`: ``fit`` is
+    the historical node-at-a-time breadth-first loop, which enumerates and
+    selects one node per step through the hooks below.  Scores are nominal
+    Gini; the expected-flip penalty of offset-aware training is not modelled.
+    """
+
+    def fit(
+        self, X_levels: np.ndarray, y: np.ndarray, n_classes: int | None = None
+    ) -> DecisionTree:
+        """Grow the tree breadth-first, one node per queue step."""
+        X_levels, y, n_classes = check_training_data(
+            X_levels, y, n_classes, self.resolution_bits
+        )
+        n_levels = 2 ** self.resolution_bits
+
+        rng = random.Random(self.seed)
+        selected_pairs: set[tuple[int, int]] = set()
+        selected_features: set[int] = set()
+        node_counter = 0
+
+        def make_node(indices: np.ndarray, depth: int) -> TreeNode:
+            nonlocal node_counter
+            counts = class_histogram(y[indices], n_classes)
+            node = TreeNode(
+                node_id=node_counter,
+                prediction=int(np.argmax(counts)),
+                n_samples=int(indices.size),
+                class_counts=tuple(int(c) for c in counts),
+                depth=depth,
+            )
+            node_counter += 1
+            return node
+
+        root_indices = np.arange(len(y))
+        root = make_node(root_indices, 0)
+        queue: deque[tuple[TreeNode, np.ndarray]] = deque([(root, root_indices)])
+
+        while queue:
+            node, indices = queue.popleft()
+            counts = np.asarray(node.class_counts)
+            is_pure = int(np.count_nonzero(counts)) <= 1
+            if (
+                node.depth >= self.max_depth
+                or is_pure
+                or indices.size < self.min_samples_split
+            ):
+                continue
+            candidates = self._node_candidates(X_levels, y, indices, n_classes, n_levels)
+            if not candidates:
+                continue
+            split = self._select_split(candidates, selected_pairs, selected_features, rng)
+
+            mask = X_levels[indices, split.feature] >= split.threshold_level
+            right_indices = indices[mask]
+            left_indices = indices[~mask]
+            if left_indices.size == 0 or right_indices.size == 0:
+                continue
+
+            node.feature = split.feature
+            node.threshold_level = split.threshold_level
+            selected_pairs.add((split.feature, split.threshold_level))
+            selected_features.add(split.feature)
+
+            node.left = make_node(left_indices, node.depth + 1)
+            node.right = make_node(right_indices, node.depth + 1)
+            queue.append((node.left, left_indices))
+            queue.append((node.right, right_indices))
+
+        return DecisionTree(
+            root=root,
+            n_features=X_levels.shape[1],
+            n_classes=n_classes,
+            resolution_bits=self.resolution_bits,
+        )
 
     def _node_candidates(
         self,

@@ -244,6 +244,37 @@ class CandidateTable:
         return NotImplemented
 
 
+def check_training_data(
+    X_levels, y, n_classes: int | None, resolution_bits: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Validate a trainer's inputs and return ``(X_levels, y, n_classes)``.
+
+    Both arrays come back as ``int64``; ``n_classes`` is inferred from ``y``
+    when ``None``.  Out-of-range levels or labels would land in the next
+    bin of a flat histogram and silently corrupt the Gini scores, so they
+    fail here instead.
+    """
+    X_levels = np.asarray(X_levels, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    if X_levels.ndim != 2:
+        raise ValueError("X_levels must be a 2-D matrix")
+    if len(X_levels) != len(y):
+        raise ValueError("X_levels and y must have the same number of samples")
+    if len(y) == 0:
+        raise ValueError("cannot train on an empty dataset")
+    if n_classes is None:
+        n_classes = int(y.max()) + 1
+    if y.min() < 0 or y.max() >= n_classes:
+        raise ValueError(f"class labels must lie in [0, {n_classes - 1}]")
+    n_levels = 2 ** resolution_bits
+    if X_levels.min() < 0 or X_levels.max() >= n_levels:
+        raise ValueError(
+            f"quantized levels must lie in [0, {n_levels - 1}] for "
+            f"{resolution_bits}-bit inputs"
+        )
+    return X_levels, y, n_classes
+
+
 def class_histogram(y: np.ndarray, n_classes: int) -> np.ndarray:
     """Per-class sample counts of a label vector."""
     return np.bincount(y, minlength=n_classes).astype(np.int64)
@@ -322,27 +353,11 @@ def enumerate_split_candidates(
         codes.ravel(), minlength=n_features * n_levels * n_classes
     ).reshape(n_features, n_levels, n_classes)
 
-    # left child of threshold k = samples with level < k
-    cumulative = np.cumsum(hist, axis=1)                    # (F, L, C)
-    total_counts = cumulative[:, -1, :]                     # (F, C)
-    left_counts = cumulative[:, :-1, :]                     # (F, T, C)
-    right_counts = total_counts[:, np.newaxis, :] - left_counts
-    n_left = left_counts.sum(axis=2)                        # (F, T)
-    n_right = right_counts.sum(axis=2)
-
-    valid = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
+    gini, n_left, valid = split_gini(hist[np.newaxis], n_node, min_samples_leaf)
     rows = np.nonzero(valid.ravel())[0]
     if rows.size == 0:
         return CandidateTable.empty()
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gini_left = 1.0 - np.sum(
-            (left_counts / np.maximum(n_left, 1)[:, :, np.newaxis]) ** 2, axis=2
-        )
-        gini_right = 1.0 - np.sum(
-            (right_counts / np.maximum(n_right, 1)[:, :, np.newaxis]) ** 2, axis=2
-        )
-    weighted = (n_left * gini_left + n_right * gini_right) / n_node
+    n_left = n_left.ravel()[rows]
 
     margin = expected_flips = None
     if flip_sigma is not None:
@@ -356,12 +371,43 @@ def enumerate_split_candidates(
     return CandidateTable(
         feature=rows // n_thresholds,
         threshold_level=rows % n_thresholds + 1,
-        gini=weighted.ravel()[rows],
-        n_left=n_left.ravel()[rows],
-        n_right=n_right.ravel()[rows],
+        gini=gini.ravel()[rows],
+        n_left=n_left,
+        n_right=n_node - n_left,
         margin=margin,
         expected_flips=expected_flips,
     )
+
+
+def split_gini(
+    hist: np.ndarray, n_node, min_samples_leaf: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted Gini of every threshold split of a batch of nodes.
+
+    ``hist[node, feature, level, class]`` counts each node's samples and
+    ``n_node`` holds the node sizes.  The left child of threshold ``k``
+    takes the samples with level ``< k``, so one cumulative sum along the
+    level axis yields every left/right class count.  Returns ``(gini,
+    n_left, valid)``, each of shape ``(nodes, features, n_levels - 1)``;
+    ``valid`` marks the splits leaving at least ``min_samples_leaf``
+    samples on both sides (``gini`` of the other rows is meaningless).
+    """
+    cumulative = np.cumsum(hist, axis=2)                    # (N, F, L, C)
+    left_counts = cumulative[:, :, :-1, :]                  # (N, F, T, C)
+    right_counts = cumulative[:, :, -1:, :] - left_counts
+    n_node = np.reshape(n_node, (-1, 1, 1))
+    n_left = left_counts.sum(axis=3)                        # (N, F, T)
+    n_right = n_node - n_left
+    valid = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gini_left = 1.0 - np.sum(
+            (left_counts / np.maximum(n_left, 1)[..., np.newaxis]) ** 2, axis=3
+        )
+        gini_right = 1.0 - np.sum(
+            (right_counts / np.maximum(n_right, 1)[..., np.newaxis]) ** 2, axis=3
+        )
+    gini = (n_left * gini_left + n_right * gini_right) / n_node
+    return gini, n_left, valid
 
 
 def _robustness_columns(

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.adc_aware_training import ADCAwareTrainer, partition_by_cost
+from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.mltrees.cart import CARTTrainer
 from repro.mltrees.evaluation import accuracy_score
+from repro.mltrees.legacy_split_search import partition_by_cost
 from repro.mltrees.split_search import SplitCandidate
 
 
@@ -53,6 +54,19 @@ class TestADCAwareTrainerBehaviour:
             trainer.fit(np.zeros((3, 2), dtype=int), np.zeros(2, dtype=int))
         with pytest.raises(ValueError):
             trainer.fit(np.full((3, 2), 99, dtype=int), np.zeros(3, dtype=int))
+
+    @pytest.mark.parametrize("trainer_cls", [ADCAwareTrainer, CARTTrainer])
+    def test_rejects_labels_outside_n_classes(self, trainer_cls):
+        """A label >= n_classes used to spill into the next histogram bin."""
+        rng = np.random.default_rng(0)
+        X_levels = rng.integers(0, 15, (60, 3))
+        y = rng.integers(0, 3, 60)
+        trainer = trainer_cls(max_depth=3)
+        with pytest.raises(ValueError, match="class labels"):
+            trainer.fit(X_levels, y, n_classes=2)
+        with pytest.raises(ValueError, match="class labels"):
+            trainer.fit(X_levels, y - 1, n_classes=3)
+        assert trainer.fit(X_levels, y, n_classes=3).n_classes == 3
 
     def test_learns_separable_data(self, tiny_levels_dataset):
         X_levels, y = tiny_levels_dataset

@@ -1,12 +1,14 @@
 """Trainer equivalence: columnar split search vs the legacy object path.
 
 The columnar :class:`~repro.mltrees.split_search.CandidateTable` refactor
-must not change a single trained tree: same candidate ordering, bit-identical
-Gini scores, identical RNG consumption at every tie-break.  These tests pit
-the production trainers against the retained pre-refactor reference
-(:mod:`repro.mltrees.legacy_split_search`) and require node-for-node
-identical trees across every registered benchmark, several seeds, and
-multiple tau values (CART and ADC-aware).
+and the level-batched ADC-aware ``fit`` must not change a single trained
+tree: same candidate ordering, bit-identical Gini scores, identical RNG
+consumption at every tie-break.  These tests pit the production trainers
+against the retained pre-refactor reference
+(:mod:`repro.mltrees.legacy_split_search`, which has its own node-at-a-time
+``fit`` loop) and require node-for-node identical trees across every
+registered benchmark, several seeds, and multiple tau values (CART and
+ADC-aware).
 
 The four small benchmarks run in the fast tier-1 gate; the four large ones
 are marked slow (the legacy trainer is the expensive side).
@@ -89,6 +91,13 @@ def _assert_trainers_equivalent(name: str, quantized_split) -> None:
                 f"robustness_weight=0 ADC-aware tree differs on {name} "
                 f"(seed {seed}, tau {tau})"
             )
+
+
+def test_oracles_have_their_own_fit():
+    """The references must not run the production training loops."""
+    assert LegacyADCAwareTrainer.fit is not ADCAwareTrainer.fit
+    assert LegacyCARTTrainer._node_candidates is not CARTTrainer._node_candidates
+    assert LegacyCARTTrainer._select_split is not CARTTrainer._select_split
 
 
 @pytest.mark.parametrize("name", SMALL_DATASETS)
