@@ -412,7 +412,7 @@ def run_variation_analysis(
         dataset, seed, depth, tau, resolution_bits, test_size=test_size,
         training_sigma=training_sigma, robustness_weight=robustness_weight,
     )
-    key = spec.key("offset_variation", sigma_v=float(sigma_v), n_trials=int(n_trials))
+    key = spec.variation_key(sigma_v, n_trials)
     if use_cache and store is not None:
         cached = store.get(key)
         if cached is not None:

@@ -97,20 +97,6 @@ class DesignPoint:
         """Copy of this point carrying a Monte-Carlo robustness summary."""
         return replace(self, robustness=analysis)
 
-    @property
-    def kernel(self):
-        """The point's compiled bit-parallel inference kernel.
-
-        Compiled on first access and cached on the underlying tree (see
-        :func:`repro.core.bitkernel.compile_tree_kernel`), so every copy of
-        this point -- including the robustness-annotated ones, which share
-        the tree instance -- reuses one compilation.  This is the kernel a
-        serving layer evaluates promoted designs with.
-        """
-        from repro.core.bitkernel import compile_tree_kernel
-
-        return compile_tree_kernel(self.tree)
-
 
 def proposed_hardware_report(
     tree: DecisionTree,
@@ -335,7 +321,7 @@ class DesignSpaceExplorer:
             if store is not None:
                 key = self.point_spec(
                     point.dataset, point.depth, point.tau, test_size
-                ).key("offset_variation", sigma_v=float(sigma_v), n_trials=int(n_trials))
+                ).variation_key(sigma_v, n_trials)
                 keys[index] = key
                 cached = store.get(key)
                 if cached is not None:

@@ -63,7 +63,7 @@ def normalize_sigmas(
         sigmas = (sigmas,)
     values = []
     for sigma in sigmas:
-        sigma = float(sigma)
+        sigma = float(sigma) or 0.0  # -0.0 and 0.0 are one sigma
         if sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma:g}")
         values.append(sigma)
@@ -273,7 +273,7 @@ def variation_work_unit(
             f"variation:{spec.dataset}"
             f"[d={spec.depth},tau={spec.tau:g},sigma={sigma_v:g}]"
         ),
-        store_key=spec.key("offset_variation", sigma_v=sigma_v, n_trials=n_trials),
+        store_key=spec.variation_key(sigma_v, n_trials),
         identity=(
             "variation", spec.dataset, spec.seed, sigma_v, n_trials,
             spec.depth, spec.tau, spec.resolution_bits, spec.test_size,

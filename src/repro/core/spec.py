@@ -87,11 +87,21 @@ class DesignSpec:
 
         ``"design_point"`` addresses a search trial's accuracy and hardware;
         ``"offset_variation"`` (with ``sigma_v`` and ``n_trials``) one
-        Monte-Carlo summary.  The code version is folded in by
+        Monte-Carlo summary, spelled by :meth:`variation_key`.  The code
+        version is folded in by
         :func:`~repro.core.store.make_key`.
         """
         spec = {field.name: getattr(self, field.name) for field in fields(self)}
         return make_key(kind=kind, **spec, **extra)
+
+    def variation_key(self, sigma_v: float, n_trials: int) -> str:
+        """Store key of this point's Monte-Carlo summary at ``sigma_v`` volts.
+
+        ``-0.0`` and ``0.0`` name the same analysis, so they share one key.
+        """
+        return self.key(
+            "offset_variation", sigma_v=float(sigma_v) or 0.0, n_trials=int(n_trials)
+        )
 
     def trainer(self) -> ADCAwareTrainer:
         """The seeded ADC-aware trainer of this point.

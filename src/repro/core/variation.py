@@ -242,9 +242,11 @@ def _predict_with_offsets(
         )
     values, nominal_thresholds = _comparator_values_and_thresholds(unary, X)
     thresholds = nominal_thresholds + offset_matrix / vdd  # (trials, comparators)
-    digits = values[np.newaxis, :, :] >= thresholds[:, np.newaxis, :]
+    # Built comparator-major, (comparators, trials, samples), so the packer
+    # reads each digit column contiguously instead of copying a transpose.
+    digits = values.T[:, np.newaxis, :] >= thresholds.T[:, :, np.newaxis]
     n_trials, n_samples = offset_matrix.shape[0], X.shape[0]
-    flat = digits.reshape(n_trials * n_samples, len(comparators))
+    flat = digits.reshape(len(comparators), n_trials * n_samples).T
     return unary.predict_digit_matrix(flat).reshape(n_trials, n_samples)
 
 
@@ -320,6 +322,7 @@ def simulate_offset_variation(
     """
     if n_trials < 1:
         raise ValueError("at least one Monte-Carlo trial is required")
+    sigma_v = float(sigma_v) or 0.0  # -0.0 is recorded as 0.0, like its store key
     technology = technology if technology is not None else default_technology()
     unary = model if isinstance(model, UnaryDecisionTree) else UnaryDecisionTree(model)
     X = np.asarray(X, dtype=float)

@@ -3,17 +3,17 @@
 The paper's protocol is a random 70 %/30 % train/test split on inputs
 normalized to ``[0, 1]``; this module provides the (seeded, stratified)
 splitting and the metrics used throughout the evaluation, plus the
-``engine`` dispatch that lets the serving scorer opt into the bit-parallel
-packed-uint64 kernel (:mod:`repro.core.bitkernel`) instead of the default
-ndarray batch path.  Accuracy evaluation always takes the batch path: at
-test-set sizes compiling a kernel costs more than it saves.
+``engine`` dispatch that lets the serving scorer pick the unary tree's
+packed-uint64 evaluation (:mod:`repro.core.bitkernel`) instead of the
+default vectorized tree walk.  Accuracy evaluation always walks the tree:
+at test-set sizes deriving the unary label logic costs more than it saves.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Prediction engines accepted by :func:`predict_levels_with_engine`:
+#: Prediction engines accepted by :func:`level_predictor`:
 #: ``"batch"`` walks the tree with vectorized index masks (the default);
 #: ``"bitparallel"`` evaluates the tree's two-level cube logic as packed
 #: uint64 bitwise ops, 64 samples per machine word.  The two are
@@ -34,29 +34,18 @@ def level_predictor(tree, engine: str = "batch"):
 
     Returns a function mapping an ``(n_samples, n_features)`` quantized-level
     matrix to predicted labels.  Resolving once hoists the engine dispatch
-    (and, for ``"bitparallel"``, the kernel compilation) out of hot loops:
-    the serving scorer calls the resolved predictor once per flush with zero
+    (and, for ``"bitparallel"``, the translation into a
+    :class:`~repro.core.unary_tree.UnaryDecisionTree`) out of hot loops: the
+    serving scorer calls the resolved predictor once per flush with zero
     per-call dispatch overhead.  Both engines are bit-identical.
     """
     resolve_engine(engine)
     if engine == "bitparallel":
-        # Local import: the kernel lives in core (which imports mltrees).
-        from repro.core.bitkernel import compile_tree_kernel
+        # Local import: the unary tree lives in core (which imports mltrees).
+        from repro.core.unary_tree import UnaryDecisionTree
 
-        return compile_tree_kernel(tree).predict_levels
+        return UnaryDecisionTree(tree).predict_levels
     return tree.predict_levels
-
-
-def predict_levels_with_engine(tree, X_levels: np.ndarray, engine: str = "batch") -> np.ndarray:
-    """Predict quantized samples through the selected inference engine.
-
-    ``tree`` is a trained :class:`~repro.mltrees.tree.DecisionTree`.  With
-    ``engine="bitparallel"`` the tree is compiled (once, cached on the tree
-    instance) into per-class packed-word cube masks and evaluated 64 samples
-    per uint64 word; predictions are bit-identical to ``tree.predict_levels``
-    either way, so switching engines never changes results.
-    """
-    return level_predictor(tree, engine)(X_levels)
 
 
 def evaluate_tree_accuracy(tree, X_levels: np.ndarray, y: np.ndarray) -> float:

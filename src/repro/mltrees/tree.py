@@ -50,7 +50,13 @@ class TreeNode:
 
 
 class DecisionTree:
-    """A trained, quantized decision-tree classifier."""
+    """A trained, quantized decision-tree classifier.
+
+    Plain data: nothing is cached on the instance, so trees pickle, compare
+    and content-address by structure alone.  Compiled views of a tree, such as
+    its unary label logic, live in the objects that build them
+    (:class:`~repro.core.unary_tree.UnaryDecisionTree`).
+    """
 
     def __init__(
         self,
@@ -87,18 +93,6 @@ class DecisionTree:
         )
 
     __hash__ = None  # structural equality makes trees unhashable (like TreeNode)
-
-    def __getstate__(self):
-        """Pickle the tree without runtime caches.
-
-        :func:`repro.core.bitkernel.compile_tree_kernel` memoizes the
-        compiled bit-parallel kernel on the tree instance; stripping it here
-        keeps store entries and executor transport lean (the kernel is cheap
-        to recompile and derives entirely from the tree structure).
-        """
-        state = dict(self.__dict__)
-        state.pop("_compiled_bitkernel", None)
-        return state
 
     # ------------------------------------------------------------------ #
     # traversal helpers

@@ -370,11 +370,7 @@ class Study:
         return None if point is None else _payload(point)
 
     def _variation_key(self, config: dict) -> str:
-        return self.point_spec(config).key(
-            "offset_variation",
-            sigma_v=float(self.sigma_v),
-            n_trials=int(self.variation_trials),
-        )
+        return self.point_spec(config).variation_key(self.sigma_v, self.variation_trials)
 
     # ------------------------------------------------------------------ #
     # the run loop

@@ -5,7 +5,7 @@ Three layers turn cached experiment outputs into a serving stack:
 * :mod:`repro.serve.registry` -- promote a trained
   :class:`~repro.core.exploration.DesignPoint` into a named, versioned,
   content-addressed model artifact (tree + ADC config + datasheet +
-  compiled-kernel metadata).
+  packed label-logic size metadata).
 * :mod:`repro.serve.batching` / :mod:`repro.serve.scorer` -- an asyncio
   micro-batching scorer that accumulates concurrent single-sample requests,
   converts each flush through the ADC front end once, and dispatches one

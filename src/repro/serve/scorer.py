@@ -35,8 +35,8 @@ class AsyncScorer:
         A promoted :class:`~repro.serve.registry.ModelArtifact` or a bare
         trained :class:`~repro.mltrees.tree.DecisionTree`.
     engine:
-        ``"bitparallel"`` (default: the packed-uint64 kernel, compiled once
-        here) or ``"batch"``.  Bit-identical either way.
+        ``"bitparallel"`` (default: the unary tree's packed-uint64 path,
+        built once here) or ``"batch"``.  Bit-identical either way.
     config:
         Accumulate/flush policy (see
         :class:`~repro.serve.batching.BatchingConfig`).
@@ -64,8 +64,8 @@ class AsyncScorer:
             self.model_name = None
         self.engine = resolve_engine(engine)
         self.n_features = self.tree.n_features
-        # Resolve engine dispatch (and compile the bit-parallel kernel) once;
-        # flushes then pay zero per-call dispatch or compilation cost.
+        # Resolve engine dispatch (and build the unary tree) once; flushes
+        # then pay zero per-call dispatch or compilation cost.
         self._predict_levels = level_predictor(self.tree, self.engine)
         self._batcher = MicroBatcher(self._flush, config)
 

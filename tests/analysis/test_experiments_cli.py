@@ -1,5 +1,6 @@
 """Tests for the benchmark-suite orchestration and the CLI."""
 
+import math
 import subprocess
 import sys
 import textwrap
@@ -285,6 +286,18 @@ class TestRunVariationAnalysis:
         run_variation_analysis("vertebral_2c", **kwargs)
         run_variation_analysis("V2", **kwargs)
         assert len(store) == 1
+
+    def test_negative_zero_sigma_hits_same_entry(self, tmp_path):
+        from repro.analysis.experiments import run_variation_analysis
+
+        store = ResultStore(cache_dir=tmp_path / "var-cache")
+        kwargs = dict(n_trials=4, depth=3, store=store)
+        first = run_variation_analysis("vertebral_2c", sigma_v=-0.0, **kwargs)
+        second = run_variation_analysis("vertebral_2c", sigma_v=0.0, **kwargs)
+        assert len(store) == 1
+        assert store.lifetime_stats()["hits"] == 1
+        assert second == first
+        assert math.copysign(1.0, first.sigma_v) == 1.0
 
 
 class TestVariationCommand:

@@ -156,6 +156,13 @@ def test_store_keys_are_pinned(case):
     assert build(*args, **kwargs) == DIGESTS[case]
 
 
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("variation-")))
+def test_variation_key_spells_the_pinned_keys(case):
+    _, (dataset, seed, sigma_v, n_trials, depth, tau), kwargs = CASES[case]
+    spec = DesignSpec(dataset, seed, depth, tau, **kwargs)
+    assert spec.variation_key(sigma_v, n_trials) == DIGESTS[case]
+
+
 datasets = st.sampled_from(sorted(DATASET_ABBREVIATIONS.items()))
 points = st.tuples(
     datasets,
@@ -205,6 +212,14 @@ class TestEquivalentSpellingsShareOneKey:
         assert suite_result_key(
             name, seed, True, list(DEFAULT_DEPTHS), list(DEFAULT_TAUS)
         ) == suite_key(name, seed, True)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(point=points)
+    def test_negative_zero_sigma(self, point):
+        (name, _), seed, depth, tau = point
+        spec = DesignSpec(name, seed, depth, tau)
+        assert spec.variation_key(-0.0, 10) == spec.variation_key(0.0, 10)
+        assert spec.variation_key(-0.0, 10) == variation_key(name, seed, 0.0, 10, depth, tau)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(point=points)

@@ -7,6 +7,7 @@ and unit identities stay put when the code version changes even though the
 store keys (correctly) do not.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -193,6 +194,19 @@ class TestNormalizeSigmas:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             normalize_sigmas((0.01, -0.02))
+
+    @pytest.mark.parametrize(
+        "sigmas", [(-0.0,), (-0.0, 0.0), (0.0, -0.0), (-0.0, 0.0, -0.0)]
+    )
+    def test_negative_zero_is_zero(self, sigmas):
+        [sigma] = normalize_sigmas(sigmas)
+        assert math.copysign(1.0, sigma) == 1.0
+
+    def test_negative_zero_variation_unit_shares_the_zero_key(self):
+        units = [
+            variation_work_unit("seeds", 0, sigma, 5, 3, 0.01) for sigma in (-0.0, 0.0)
+        ]
+        assert units[0].store_key == units[1].store_key
 
 
 class TestMultiSigmaPlanning:

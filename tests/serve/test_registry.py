@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from repro.core.bitkernel import WORD_BITS, compile_tree_kernel
+from repro.adc.thermometer import WORD_BITS
 from repro.core.exploration import DesignSpaceExplorer
 from repro.core.store import ResultStore
+from repro.core.unary_tree import UnaryDecisionTree
 from repro.datasets.synthetic import make_classification_blobs
 from repro.mltrees.evaluation import train_test_split
 from repro.mltrees.quantize import quantize_dataset
@@ -131,13 +132,18 @@ class TestManifest:
         assert manifest["digest"] == artifact.digest
         assert manifest["accuracy"] == point.accuracy
 
-        kernel = compile_tree_kernel(point.tree)
+        unary = UnaryDecisionTree(point.tree)
+        logic = unary.label_logic.values()
         assert manifest["kernel_meta"] == {
-            "n_digits": kernel.n_digits,
-            "n_cubes": kernel.n_cubes,
-            "n_literals": kernel.n_literals,
-            "n_classes": kernel.n_classes,
+            "n_digits": unary.n_unary_digits,
+            "n_cubes": sum(sop.n_terms for sop in logic),
+            "n_literals": sum(sop.n_literals for sop in logic),
+            "n_classes": unary.n_classes,
             "word_bits": WORD_BITS,
+        }
+        # literal pins: the sizes of this tree's packed label logic
+        assert manifest["kernel_meta"] == {
+            "n_digits": 4, "n_cubes": 5, "n_literals": 12, "n_classes": 3, "word_bits": 64,
         }
 
     def test_manifest_is_light_json_on_disk(self, registry, design_points):
@@ -156,7 +162,7 @@ class TestManifest:
             assert isinstance(feature, int)
             assert all(0 <= level <= 16 for level in levels)
         assert artifact.datasheet  # rendered, human-readable
-        assert artifact.kernel.n_classes == 3  # compiled kernel reachable
+        assert artifact.kernel_meta["n_classes"] == 3
 
 
 class TestLookupErrors:
